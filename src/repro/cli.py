@@ -51,6 +51,7 @@ from repro.bench.table1 import run_table1
 from repro.core.vp import VPConfig, VoltagePropagationSolver
 from repro.errors import ReproError
 from repro.grid.generators import synthesize_stack
+from repro.grid.validate import check_stack_spec
 from repro.io.solution import (
     compare_solution_files,
     stack_solution_dict,
@@ -86,6 +87,7 @@ def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
 def _build_stack(args: argparse.Namespace):
     if args.circuit:
         return build_circuit(args.circuit, seed=args.seed)
+    check_stack_spec(args.side, args.tiers, args.r_tsv, args.vdd)
     return synthesize_stack(
         args.side, args.side, args.tiers,
         r_tsv=args.r_tsv, v_pin=args.vdd, rng=args.seed,

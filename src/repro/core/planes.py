@@ -148,11 +148,21 @@ class ReducedPlaneSystem:
                     matrix[self.pillar_flat, :].tocsr() if pillar_rows else None
                 )
                 if factorize:
-                    with tr.span("factorize", tier=l, n_free=self.free.size):
+                    with tr.span(
+                        "factorize", tier=l, n_free=self.free.size
+                    ) as span:
                         solver = DirectSolver(a_ff)
+                        span.set(
+                            ordering=solver.ordering,
+                            fill_nnz=solver.factor_nnz,
+                            factor_bytes=solver.memory_bytes,
+                        )
                     cache[group] = (solver, a_fp, a_p, None)
                     self._factorizations.add()
                     obs.add("planes.factorizations")
+                    obs.set_gauge_max(
+                        "planes.factor_fill_nnz", solver.factor_nnz
+                    )
                 else:
                     cache[group] = (a_ff, a_fp, a_p, 1.0 / a_ff.diagonal())
             a_ff, a_fp, a_p, inv_diag = cache[group]
@@ -414,6 +424,10 @@ class PlaneFactorCache:
     * ``factorizations`` -- total LU factorizations performed through the
       cache (the quantity benchmarks assert on: a TSV-only sweep must
       stay at the baseline count, i.e. zero *re*-factorizations);
+    * ``thread_factorizations`` -- the same count restricted to builds
+      run on the calling thread.  Engines report their per-run deltas
+      from it, so a job sharing the cache with a concurrent job on
+      another thread counts only its own factorizations;
     * ``hits`` / ``misses`` -- lookup accounting;
     * ``evictions`` -- entries LRU-evicted at capacity (an ECO session
       sweeping many geometry variants thrashes a too-small cache, and
@@ -474,6 +488,8 @@ class PlaneFactorCache:
         self._evictions = Counter("cache.evictions")
         self._pinned_overflow = Counter("cache.pinned_overflow")
         self._single_flight_waits = Counter("cache.single_flight_waits")
+        #: Per-thread build tally behind ``thread_factorizations``.
+        self._local = threading.local()
         self._factor_bytes = 0
 
     def __len__(self) -> int:
@@ -482,6 +498,13 @@ class PlaneFactorCache:
     @property
     def factorizations(self) -> int:
         return self._factorizations.value
+
+    @property
+    def thread_factorizations(self) -> int:
+        """Factorizations this cache performed on the calling thread.  A
+        lookup served by another thread's in-flight build (single-flight
+        wait) adds nothing here."""
+        return getattr(self._local, "factorizations", 0)
 
     @property
     def hits(self) -> int:
@@ -559,6 +582,9 @@ class PlaneFactorCache:
             with self._lock:
                 self._building.pop(key).set()  # release waiters to retry
             raise
+        self._local.factorizations = (
+            self.thread_factorizations + system.n_factorizations
+        )
         with self._lock:
             self._factorizations.add(system.n_factorizations)
             obs.add("cache.factorizations", system.n_factorizations)

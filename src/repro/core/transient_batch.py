@@ -412,7 +412,7 @@ class BatchedTransientSolver:
             if factor_cache is not None
             else PlaneFactorCache(max_entries=max(8, 2 * len(grouped)))
         )
-        count0 = self.cache.factorizations
+        count0 = self.cache.thread_factorizations
         vp_config = self.config.vp_config()
         self.groups = [
             _ScenarioGroup(
@@ -424,7 +424,7 @@ class BatchedTransientSolver:
         #: LU factorizations this engine's construction performed --
         #: scales with the number of distinct (plane_scale, cap_scale)
         #: groups, never with the scenario count.
-        self.n_factorizations = self.cache.factorizations - count0
+        self.n_factorizations = self.cache.thread_factorizations - count0
         self._setup_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------

@@ -8,7 +8,9 @@ stack's plane system exactly once and *pins* it in the
 to low-rank updates and runs one batched
 :class:`~repro.eco.engine.EcoBatchSolver` sweep -- zero new
 factorizations, counter-asserted by callers via the
-``planes.factorizations`` / ``cache.factorizations`` deltas.
+``planes.factorizations`` obs delta and reported per call as
+``EcoReport.eval_factorizations`` (the cache's per-thread count, so a
+job factorizing on another worker thread never shows up in it).
 
 Verification is deliberately *separate* from evaluation: a configurable
 sample fraction of candidates is re-solved directly (fresh factors on
@@ -314,7 +316,7 @@ class EcoSession:
         baseline = self.baseline_drops()
         metric_fn = _METRICS[self.config.metric]
         baseline_metric = metric_fn(baseline)
-        factorizations0 = self.cache.factorizations
+        factorizations0 = self.cache.thread_factorizations
 
         compiled = [compile_candidate(self.stack, c) for c in candidates]
         engine = EcoBatchSolver(
@@ -354,7 +356,7 @@ class EcoSession:
                 result.stats.setup_seconds + result.stats.solve_seconds
             ),
             eval_factorizations=(
-                self.cache.factorizations - factorizations0
+                self.cache.thread_factorizations - factorizations0
             ),
         )
         if self.config.verify_fraction > 0.0:

@@ -8,6 +8,7 @@ disconnected islands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,29 @@ class ValidationReport:
     def raise_if_failed(self) -> None:
         if self.errors:
             raise GridError("; ".join(self.errors))
+
+
+def check_stack_spec(
+    side: int,
+    tiers: int,
+    r_tsv: float,
+    vdd: float,
+    *,
+    max_side: int | None = None,
+    max_tiers: int | None = None,
+) -> None:
+    """Refuse stack synthesis parameters at the boundary where they enter
+    (CLI flags, service requests), naming the offending field: ``side``
+    and ``tiers`` must be at least 1 (and at most the optional caps),
+    ``r_tsv`` and ``vdd`` finite and positive.  Left alone, a NaN supply
+    surfaces three layers down as a "singular system" error."""
+    for name, value, high in (("side", side, max_side), ("tiers", tiers, max_tiers)):
+        if value < 1 or (high is not None and value > high):
+            bound = f"between 1 and {high}" if high is not None else ">= 1"
+            raise GridError(f"{name} must be {bound}, got {value}")
+    for name, value in (("r_tsv", r_tsv), ("vdd", vdd)):
+        if not (math.isfinite(value) and value > 0):
+            raise GridError(f"{name} must be a finite number > 0, got {value}")
 
 
 def _connectivity_to_sources(

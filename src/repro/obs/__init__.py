@@ -8,8 +8,9 @@ Public surface (see docs/observability.md):
   service attributes work to jobs); :func:`current_global` reaches past
   the overlay to the process-wide session.
 * :class:`MetricsRegistry` instruments via :func:`add`,
-  :func:`set_gauge`, :func:`observe`, :func:`observe_bucket`,
-  :func:`add_labeled`, :func:`record_series`, :func:`active_series`.
+  :func:`set_gauge`, :func:`set_gauge_max`, :func:`observe`,
+  :func:`observe_bucket`, :func:`add_labeled`, :func:`record_series`,
+  :func:`active_series`.
 * :func:`span` / :class:`Stopwatch` for timing; engines with existing
   ``perf_counter`` phase math use ``tracer().add_complete``.
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (Perfetto, one lane
@@ -63,6 +64,7 @@ from repro.obs.session import (
     scoped,
     session,
     set_gauge,
+    set_gauge_max,
     span,
     tracer,
 )
@@ -102,6 +104,7 @@ __all__ = [
     "scoped",
     "session",
     "set_gauge",
+    "set_gauge_max",
     "snapshot_delta",
     "span",
     "span_summary",

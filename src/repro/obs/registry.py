@@ -361,6 +361,16 @@ class MetricsRegistry:
         if self.forward_to is not None:
             self.forward_to.set_gauge(name, value)
 
+    def set_gauge_max(self, name: str, value: float) -> None:
+        """Raise a gauge to ``value`` if that is higher (a high-water
+        mark, e.g. the largest factor fill seen)."""
+        with self._lock:
+            self.ops += 1
+            gauge = self.gauge(name)
+            gauge.set(max(gauge.value, value))
+        if self.forward_to is not None:
+            self.forward_to.set_gauge_max(name, value)
+
     def observe(self, name: str, value: float) -> None:
         with self._lock:
             self.ops += 1

@@ -137,6 +137,10 @@ def set_gauge(name: str, value: float) -> None:
     active().registry.set_gauge(name, value)
 
 
+def set_gauge_max(name: str, value: float) -> None:
+    active().registry.set_gauge_max(name, value)
+
+
 def observe(name: str, value: float) -> None:
     active().registry.observe(name, value)
 

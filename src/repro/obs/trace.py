@@ -75,6 +75,9 @@ class _NullSpan:
     def __exit__(self, *exc):
         return False
 
+    def set(self, **attrs) -> None:
+        pass
+
 
 NULL_SPAN = _NullSpan()
 
@@ -92,6 +95,11 @@ class _Span:
     def __enter__(self):
         self._t0_ns = time.perf_counter_ns()
         return self
+
+    def set(self, **attrs) -> None:
+        """Attach attributes known only once the block has run (e.g.
+        the fill of a factorization)."""
+        self._attrs = {**(self._attrs or {}), **attrs}
 
     def __exit__(self, *exc):
         t1 = time.perf_counter_ns()

@@ -305,7 +305,7 @@ def allocate_wire_width(
     planes = cache.get(stack, pin=True)
     # Baseline priming above is the only factorization an allocation run
     # may perform; everything after this snapshot must be reuse.
-    factorizations0 = cache.factorizations
+    factorizations0 = cache.thread_factorizations
     evaluator = _WidthEvaluator(stack, scenario_set, planes, config)
 
     widths = project_to_budget(np.ones(n_tiers), area, budget, lo, hi)
@@ -403,6 +403,6 @@ def allocate_wire_width(
         history=history,
         iterations=iteration,
         converged=converged,
-        new_factorizations=cache.factorizations - factorizations0,
+        new_factorizations=cache.thread_factorizations - factorizations0,
         seconds=time.perf_counter() - t_start,
     )

@@ -172,7 +172,7 @@ def refine_pin_placement(
     planes = session.planes
     # Opening the session is the only factorization a refinement may
     # perform; pin masks never change the factor-cache key.
-    factorizations0 = cache.factorizations
+    factorizations0 = cache.thread_factorizations
     metric = SmoothWorstDrop(beta=config.beta)
     sign = net_sign(stack.net)
     pillar_flat = stack.pillar_flat_indices()
@@ -318,6 +318,6 @@ def refine_pin_placement(
         scenario_names=scenario_set.names,
         swaps=swaps,
         rounds=rounds,
-        new_factorizations=cache.factorizations - factorizations0,
+        new_factorizations=cache.thread_factorizations - factorizations0,
         seconds=time.perf_counter() - t_start,
     )

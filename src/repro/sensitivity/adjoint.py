@@ -534,7 +534,9 @@ def adjoint_gradient(
         Factor cache shared with other runs; created (and primed with
         the base geometry) when omitted.  Factor-reusable design points
         perform **zero** factorizations beyond the cached baseline --
-        ``GradientResult.new_factorizations`` reports the delta.
+        ``GradientResult.new_factorizations`` reports the delta (builds
+        on this thread only, so concurrent jobs sharing the cache do not
+        leak into it).
     forward:
         A converged :class:`~repro.core.vp.VPResult` for the *base*
         design point (skips the forward solve; only honoured when
@@ -547,7 +549,7 @@ def adjoint_gradient(
     cache = cache or PlaneFactorCache()
     hits0 = cache.hits
     planes = cache.get(stack, pin=True)
-    factorizations0 = cache.factorizations
+    factorizations0 = cache.thread_factorizations
 
     sign = net_sign(stack.net)
     at_base = bool(np.all(x == 1.0)) and scenario is None
@@ -613,7 +615,7 @@ def adjoint_gradient(
         adjoint_outer_iterations=adjoint.outer_iterations,
         adjoint_converged=adjoint.converged,
         adjoint_max_vdiff=adjoint.max_vdiff,
-        new_factorizations=cache.factorizations - factorizations0,
+        new_factorizations=cache.thread_factorizations - factorizations0,
         cache_hits=cache.hits - hits0,
         seconds=time.perf_counter() - t_start,
         forward_voltages=voltages,

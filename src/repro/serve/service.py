@@ -57,11 +57,31 @@ from repro import obs
 from repro.core.batch import BatchedVPConfig, BatchedVPSolver
 from repro.core.planes import PlaneFactorCache, stack_plane_signature
 from repro.errors import ReproError
+from repro.grid.validate import check_stack_spec
 from repro.scenarios.spec import Scenario, ScenarioSet
 from repro.serve.jobs import Job, JobQueue
 
 #: Job kinds the service accepts (see docs/service.md for parameters).
 JOB_KINDS = ("sweep", "mc", "sensitivity", "optimize", "eco")
+
+
+#: Largest grid the service synthesizes on request.  Registration runs
+#: on the HTTP thread; C3 (3 tiers of 577 x 577) is the largest benchmark
+#: circuit, and bigger studies belong to the CLI.
+MAX_GRID_SIDE = 600
+MAX_GRID_TIERS = 8
+#: Most Monte Carlo samples one ``mc`` job may request.
+MAX_MC_SAMPLES = 100_000
+
+
+def _number(params: dict, name: str, default, cast):
+    """``params[name]`` (or ``default``) converted by ``cast``; a value
+    that does not convert is refused with an error naming the field."""
+    raw = params.get(name, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ReproError(f"{name} must be a number, got {raw!r}") from None
 
 
 class UnknownGridError(ReproError):
@@ -242,18 +262,19 @@ class GridAnalysisService:
                 f"unknown grid spec fields {sorted(unknown)}; expected a "
                 f"subset of {sorted(known)}"
             )
+        seed = _number(spec, "seed", 0, int)
         if spec.get("circuit"):
-            return build_circuit(
-                spec["circuit"], seed=int(spec.get("seed", 0))
-            )
-        side = int(spec.get("side", 40))
+            return build_circuit(spec["circuit"], seed=seed)
+        side = _number(spec, "side", 40, int)
+        tiers = _number(spec, "tiers", 3, int)
+        r_tsv = _number(spec, "r_tsv", 0.05, float)
+        vdd = _number(spec, "vdd", 1.8, float)
+        check_stack_spec(
+            side, tiers, r_tsv, vdd,
+            max_side=MAX_GRID_SIDE, max_tiers=MAX_GRID_TIERS,
+        )
         return synthesize_stack(
-            side,
-            side,
-            int(spec.get("tiers", 3)),
-            r_tsv=float(spec.get("r_tsv", 0.05)),
-            v_pin=float(spec.get("vdd", 1.8)),
-            rng=int(spec.get("seed", 0)),
+            side, side, tiers, r_tsv=r_tsv, v_pin=vdd, rng=seed,
             name=f"serve-{name}",
         )
 
@@ -297,6 +318,13 @@ class GridAnalysisService:
             )
         self._stack(grid)  # validate the reference at submit time
         params = dict(params or {})
+        if kind == "mc":
+            samples = _number(params, "samples", 16, int)
+            if not 1 <= samples <= MAX_MC_SAMPLES:
+                raise ReproError(
+                    f"samples must be between 1 and {MAX_MC_SAMPLES}, "
+                    f"got {samples}"
+                )
         key = _sweep_coalesce_key(grid, params) if kind == "sweep" else None
         if timeout is None:
             timeout = self.config.default_timeout

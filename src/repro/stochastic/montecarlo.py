@@ -178,15 +178,15 @@ def run_monte_carlo(
     if cache is None:
         cache = PlaneFactorCache()
     hits0, misses0 = cache.hits, cache.misses
-    factorizations0 = cache.factorizations
+    factorizations0 = cache.thread_factorizations
     # Prime (and pin) the shared-geometry entry: wire-field draws churn
     # the cache tail, but the baseline must survive for the next batch
     # and the next run sharing this cache.
     baseline = cache.get(stack, pin=True)
     stats = MonteCarloStats(
-        baseline_factorizations=cache.factorizations - factorizations0,
+        baseline_factorizations=cache.thread_factorizations - factorizations0,
     )
-    factorizations_after_baseline = cache.factorizations
+    factorizations_after_baseline = cache.thread_factorizations
 
     n_tiers, rows, cols = stack.n_tiers, stack.rows, stack.cols
     field_stats = RunningFieldStats((n_tiers, rows, cols))
@@ -240,7 +240,7 @@ def run_monte_carlo(
 
     stats.solve_seconds = time.perf_counter() - t_solve
     stats.refactorizations = (
-        cache.factorizations - factorizations_after_baseline
+        cache.thread_factorizations - factorizations_after_baseline
     )
     stats.cache_hits = cache.hits - hits0
     stats.cache_misses = cache.misses - misses0

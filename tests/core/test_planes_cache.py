@@ -269,3 +269,92 @@ class TestRegistryThreadSafety:
 
         assert registry.counter("stress.counter").value == n_threads * n_adds
         assert registry.histogram("stress.hist").count == n_threads * n_adds
+
+
+class TestPerThreadFactorizationCounts:
+    def test_concurrent_jobs_report_only_their_own_builds(self, monkeypatch):
+        """A wire-field Monte Carlo run factorizes on one thread while a
+        sensitivity job on another thread holds its counter window open;
+        each reports only the factorizations it performed itself."""
+        from repro.sensitivity import (
+            MetalWidthParam,
+            ParameterSpace,
+            TSVConductanceParam,
+            adjoint_gradient,
+            make_metric,
+        )
+        from repro.sensitivity.adjoint import AdjointVPSolver
+        from repro.stochastic import (
+            VariationSpec,
+            WireFieldVariation,
+            run_monte_carlo,
+        )
+
+        cache = PlaneFactorCache(max_entries=16)
+        sens_stack = stack_for(9)
+        mc_stack = synthesize_stack(10, 10, 3, rng=1)
+        cache.get(sens_stack)  # the sensitivity job's baseline is resident
+        primed = cache.factorizations
+
+        # The sensitivity job waits, between its counter snapshots, until
+        # the Monte Carlo run has done all of its factorizing.
+        mc_done = threading.Event()
+        adjoint_solve = AdjointVPSolver.solve
+
+        def held_solve(self, injection):
+            assert mc_done.wait(timeout=60)
+            return adjoint_solve(self, injection)
+
+        monkeypatch.setattr(AdjointVPSolver, "solve", held_solve)
+
+        def mc_job():
+            try:
+                return run_monte_carlo(
+                    mc_stack,
+                    VariationSpec(wire=WireFieldVariation(sigma=0.1)),
+                    3,
+                    seed=2,
+                    cache=cache,
+                )
+            finally:
+                mc_done.set()
+
+        def sensitivity_job():
+            params = ParameterSpace(
+                sens_stack, [MetalWidthParam(), TSVConductanceParam()]
+            )
+            return adjoint_gradient(params, make_metric("worst"), cache=cache)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            sens = pool.submit(sensitivity_job)
+            mc = pool.submit(mc_job)
+            sens_result, mc_result = sens.result(), mc.result()
+
+        mc_builds = (
+            mc_result.stats.baseline_factorizations
+            + mc_result.stats.refactorizations
+        )
+        assert mc_result.stats.refactorizations > 0
+        assert mc_builds == cache.factorizations - primed
+        assert sens_result.new_factorizations == 0
+
+    def test_single_flight_waiter_counts_zero(self):
+        cache = PlaneFactorCache()
+        stack = stack_for(10)
+        counts = []
+        barrier = threading.Barrier(4)
+
+        def lookup():
+            before = cache.thread_factorizations
+            barrier.wait(timeout=60)
+            cache.get(stack)
+            counts.append(cache.thread_factorizations - before)
+
+        threads = [threading.Thread(target=lookup) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(counts) == [0, 0, 0, cache.factorizations]
+        assert cache.factorizations > 0

@@ -68,6 +68,37 @@ class TestReadThroughProperties:
         assert cache.factor_bytes == resident.memory_bytes
 
 
+class TestFactorQuality:
+    def test_factorize_span_carries_ordering_fill_and_bytes(self):
+        stack = synthesize_stack(10, 10, 2, rng=0)
+        with obs.session(trace=True) as tel:
+            system = ReducedPlaneSystem(stack, factorize=True)
+        spans = [e for e in tel.tracer.events if e.name == "factorize"]
+        assert len(spans) == system.n_factorizations >= 1
+        for span in spans:
+            solver = system.a_ff[span.attrs["tier"]]
+            assert span.attrs["ordering"] == solver.ordering == "MMD_AT_PLUS_A"
+            assert span.attrs["fill_nnz"] == solver.factor_nnz
+            assert span.attrs["factor_bytes"] == solver.memory_bytes
+            assert span.attrs["n_free"] == system.n_free
+
+    def test_fill_gauge_keeps_the_largest_factor(self):
+        big = ReducedPlaneSystem(synthesize_stack(16, 16, 1, rng=0))
+        with obs.session() as tel:
+            ReducedPlaneSystem(synthesize_stack(16, 16, 1, rng=0))
+            ReducedPlaneSystem(small_stack())  # smaller, later
+        gauge = tel.registry.gauge("planes.factor_fill_nnz")
+        assert gauge.value == big.a_ff[0].factor_nnz
+
+    def test_gauge_max_forwards_and_never_lowers(self):
+        parent = obs.MetricsRegistry()
+        child = obs.MetricsRegistry()
+        child.forward_to = parent
+        for value in (5, 9, 3):
+            child.set_gauge_max("g", value)
+        assert child.gauge("g").value == parent.gauge("g").value == 9
+
+
 class TestEngineCounters:
     def test_batched_solve_reports_column_solves(self):
         stack = small_stack()

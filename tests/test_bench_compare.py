@@ -18,12 +18,17 @@ sys.modules["bench_compare"] = bench_compare
 _SPEC.loader.exec_module(bench_compare)
 
 
-def artifact(name: str, median: float, counters: dict | None = None) -> dict:
+def artifact(
+    name: str,
+    median: float,
+    counters: dict | None = None,
+    gauges: dict | None = None,
+) -> dict:
     return {
         "schema_version": 2,
         "name": name,
         "timings_seconds": {"median": median},
-        "metrics": {"counters": counters or {}},
+        "metrics": {"counters": counters or {}, "gauges": gauges or {}},
     }
 
 
@@ -74,6 +79,39 @@ def test_factorization_counter_regression_fails():
     fresh_ok = {"a": artifact("a", 1.0, {"cache.factorizations": 1, "cache.hits": 2})}
     _, failures = bench_compare.compare(fresh_ok, base)
     assert not failures
+
+
+def test_factor_bytes_gauge_growth_fails():
+    base = {"a": artifact("a", 1.0, gauges={"cache.factor_bytes": 1000.0})}
+    fresh = {"a": artifact("a", 1.0, gauges={"cache.factor_bytes": 1001.0})}
+    rows, failures = bench_compare.compare(fresh, base)
+    assert len(failures) == 1
+    assert "gauge regression" in failures[0]
+    assert "cache.factor_bytes 1001 > baseline 1000" in failures[0]
+    assert not rows[0]["counters_ok"]
+
+
+def test_factor_bytes_gauge_is_absolute():
+    """Equal or smaller factors pass even when every timing is slower,
+    and a machine-speed shift never excuses bigger factors."""
+    base = {n: artifact(n, 1.0, gauges={"cache.factor_bytes": 1000.0})
+            for n in ("a", "b")}
+    smaller = {n: artifact(n, 3.0, gauges={"cache.factor_bytes": 400.0})
+               for n in ("a", "b")}
+    assert not bench_compare.compare(smaller, base)[1]
+    equal = {n: artifact(n, 1.0, gauges={"cache.factor_bytes": 1000.0})
+             for n in ("a", "b")}
+    assert not bench_compare.compare(equal, base)[1]
+    bigger = {n: artifact(n, 0.5, gauges={"cache.factor_bytes": 2000.0})
+              for n in ("a", "b")}
+    _, failures = bench_compare.compare(bigger, base)
+    assert len(failures) == 2
+
+
+def test_other_gauges_are_not_gated():
+    base = {"a": artifact("a", 1.0, gauges={"serve.queue_depth": 0.0})}
+    fresh = {"a": artifact("a", 1.0, gauges={"serve.queue_depth": 5.0})}
+    assert not bench_compare.compare(fresh, base)[1]
 
 
 def test_missing_fresh_artifact_fails():

@@ -292,6 +292,15 @@ class TestErrors:
         bad.write_text("R1 a b notanumber\n")
         assert run_cli("solve", "--netlist", str(bad)) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--vdd", "nan", "vdd"), ("--r-tsv", "0", "r_tsv"),
+         ("--tiers", "0", "tiers")],
+    )
+    def test_bad_stack_flag_names_the_field(self, capsys, flag, value, field):
+        assert run_cli("solve", "--side", "8", flag, value) == 2
+        assert f"error: {field} must be" in capsys.readouterr().err
+
 
 class TestTransientSweep:
     def test_sweep_prints_table_and_writes_reports(self, tmp_path, capsys):

@@ -22,6 +22,11 @@ artifacts against the committed ``bench-artifacts/baseline/`` and fails
   the repo's perf story is "factor once, reuse everywhere", and a
   creeping factorization count is a real regression even when timings
   pass.
+* **Gauges.**  Factor storage is machine-independent too: any gauge
+  whose name contains ``factor_bytes`` (the resident factor footprint,
+  ``cache.factor_bytes``) must not exceed its baseline value, the same
+  rule as the counters -- it holds the fill won by the factor layer's
+  ordering.
 * **Coverage.**  Every baseline benchmark must have a fresh artifact;
   a missing one fails (a silently-skipped benchmark is how gates rot).
   Fresh benchmarks without a baseline are reported but pass -- they
@@ -51,6 +56,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FRESH = REPO_ROOT / "bench-artifacts"
 DEFAULT_BASELINE = REPO_ROOT / "bench-artifacts" / "baseline"
 DEFAULT_GATED_COUNTERS = ("factorization",)
+GATED_GAUGES = ("factor_bytes",)
 
 
 def load_artifacts(directory: Path) -> dict[str, dict]:
@@ -74,13 +80,31 @@ def median_seconds(artifact: dict) -> float | None:
     return float(median)
 
 
-def gated_counters(artifact: dict, substrings: tuple[str, ...]) -> dict[str, float]:
-    counters = (artifact.get("metrics") or {}).get("counters") or {}
+def gated_metrics(
+    artifact: dict, kind: str, substrings: tuple[str, ...]
+) -> dict[str, float]:
+    """The ``kind`` ("counters" or "gauges") metrics of an artifact whose
+    name contains one of ``substrings``."""
+    values = (artifact.get("metrics") or {}).get(kind) or {}
     return {
         name: value
-        for name, value in counters.items()
+        for name, value in values.items()
         if any(s in name for s in substrings)
     }
+
+
+def metric_regressions(
+    fresh: dict, baseline: dict, kind: str, substrings: tuple[str, ...]
+) -> list[str]:
+    """Gated metrics whose fresh value exceeds the baseline (a metric the
+    fresh run no longer reports counts as 0)."""
+    base_values = gated_metrics(baseline, kind, substrings)
+    fresh_values = gated_metrics(fresh, kind, substrings)
+    return [
+        f"{name} {fresh_values.get(name, 0):g} > baseline {base_value:g}"
+        for name, base_value in sorted(base_values.items())
+        if fresh_values.get(name, 0) > base_value
+    ]
 
 
 def compare(
@@ -129,18 +153,17 @@ def compare(
                 f"(raw {slowdown:.2f}x, threshold {threshold:g}x)"
             )
 
-        counter_failures = []
-        base_counters = gated_counters(baseline[name], counter_substrings)
-        fresh_counters = gated_counters(fresh[name], counter_substrings)
-        for counter, base_value in sorted(base_counters.items()):
-            fresh_value = fresh_counters.get(counter, 0)
-            if fresh_value > base_value:
-                counter_failures.append(
-                    f"{counter} {fresh_value:g} > baseline {base_value:g}"
-                )
+        counter_failures = metric_regressions(
+            fresh[name], baseline[name], "counters", counter_substrings
+        )
         if counter_failures:
             failures.append(f"{name}: counter regression: " + "; ".join(counter_failures))
-        row["counters_ok"] = not counter_failures
+        gauge_failures = metric_regressions(
+            fresh[name], baseline[name], "gauges", GATED_GAUGES
+        )
+        if gauge_failures:
+            failures.append(f"{name}: gauge regression: " + "; ".join(gauge_failures))
+        row["counters_ok"] = not counter_failures and not gauge_failures
         rows.append(row)
 
     for name in sorted(set(fresh) - set(baseline)):
@@ -227,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         else "gate: slowdowns normalized by the run's median (machine-speed invariant)"
     )
     print(render(rows, f"{mode}; threshold {args.threshold:g}x; "
-                       f"gated counters: {', '.join(substrings)}"))
+                       f"gated counters: {', '.join(substrings)}; "
+                       f"gated gauges: {', '.join(GATED_GAUGES)}"))
     if failures:
         print("\nbench-compare: FAIL", file=sys.stderr)
         for failure in failures:
