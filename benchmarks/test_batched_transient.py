@@ -101,6 +101,7 @@ def test_batched_transient_speedup(circuit_cache, bench_once, benchmark):
             "speedup": report.speedup,
             "max_parity_error_v": report.max_parity_error,
             "factorizations": report.factorizations,
+            "lanes": result.stats.lanes,
             "max_worst_droop_v": float(result.worst_droop.max()),
         }
     )
@@ -150,6 +151,7 @@ def test_transient_smoke(bench_once, benchmark):
             "n_scenarios": report.n_scenarios,
             "speedup": report.speedup,
             "factorizations": report.factorizations,
+            "lanes": result.stats.lanes,
             "max_worst_droop_v": float(result.worst_droop.max()),
         }
     )

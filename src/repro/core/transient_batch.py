@@ -36,6 +36,17 @@ DC seed, same per-step warm starts, same RHS floating-point op order --
 so per-scenario waveforms agree to round-off (the benchmark asserts
 worst-droop parity at rtol 1e-10).
 
+Scenario columns never exchange data, so a group wide enough to fill
+the cores is cut into *lanes*: contiguous column blocks, each with its
+own batched solvers over the group's cached factors, that advance from
+the DC point through every step on their own thread
+(:func:`repro.linalg.direct.run_lanes`) with no per-step barrier.  The
+cut follows the rule that splits one wide back-substitution
+(:func:`repro.linalg.direct.lane_count`), and a lane's columns are
+bitwise what a one-lane run computes.  Lanes of a run whose total
+``n_free x columns`` stays under that threshold run one after another
+on the calling thread.
+
 Scenarios whose stimulus has settled (steps and ramps past the event;
 pulses never settle) can optionally *retire early*: once a scenario's
 step-to-step voltage change stays under ``settle_tol`` for
@@ -47,6 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +71,7 @@ from repro.core.vda import VDAPolicy
 from repro.core.vp import loadshare_v0
 from repro.errors import GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
+from repro.linalg import direct
 from repro.scenarios.spec import Scenario, ScenarioSet
 
 
@@ -113,6 +126,9 @@ class BatchedTransientStats:
     n_steps: int = 0
     #: Distinct ``(plane_scale, cap_scale)`` companion groups.
     n_groups: int = 0
+    #: Scenario-column lanes the run advanced: one per group unless a
+    #: group is wide enough to split (see ``_ScenarioGroup``).
+    lanes: int = 0
     #: LU factorizations performed through the factor cache during
     #: engine construction -- per *group geometry*, never per scenario
     #: or per step (the benchmark's counter-assert).
@@ -174,7 +190,14 @@ class BatchedTransientResult:
 
 class _ScenarioGroup:
     """All scenarios sharing one ``(plane_scale, cap_scale)`` signature:
-    one DC stack, one companion stack, one pair of batched solvers."""
+    one DC stack and one companion stack, whose cached factors the
+    group's lanes share.
+
+    A group wide enough to fill the cores (``n_free x columns`` at least
+    :data:`repro.linalg.direct.SPLIT_MIN_WORK`, the rule that splits a
+    wide back-substitution) is cut into one lane per core, each a
+    contiguous block of its columns; otherwise it is one lane.
+    """
 
     def __init__(
         self,
@@ -186,8 +209,6 @@ class _ScenarioGroup:
         cache: PlaneFactorCache,
         vp_config: BatchedVPConfig,
     ):
-        self.originals = originals
-        self.columns = np.array(columns, dtype=int)
         n_tiers = stack.n_tiers
         alphas = originals[0].tier_plane_scales(n_tiers)
         cap_scales = originals[0].tier_cap_scales(n_tiers)
@@ -212,9 +233,58 @@ class _ScenarioGroup:
         for tier, c in zip(comp_stack.tiers, caps):
             tier.g_pad = tier.g_pad + c / dt
 
+        self.dc_stack = dc_stack
+        self.comp_stack = comp_stack
+        self.dc_planes = cache.get(dc_stack, pin=True)
+        self.comp_planes = cache.get(comp_stack, pin=True)
+        self.pad_dc = [
+            tier.g_pad.ravel() * tier.v_pad for tier in dc_stack.tiers
+        ]
+        self.pad_comp = [
+            tier.g_pad.ravel() * tier.v_pad for tier in comp_stack.tiers
+        ]
+        #: ``n_free x columns``: what the lane rule weighs.
+        self.work = self.comp_planes.n_free * len(originals)
+        n_lanes = direct.lane_count(self.comp_planes.n_free, len(originals))
+        self.lanes = [
+            _Lane(self, originals[lo:hi], columns[lo:hi], vp_config)
+            for lo, hi in direct.lane_edges(len(originals), n_lanes)
+        ]
+
+
+class _Lane:
+    """A contiguous block of one group's scenario columns with its own
+    pair of batched solvers over the group's shared factors.
+
+    No data crosses between scenario columns, so a lane advances from
+    its DC point through every step alone; its column ``s`` follows the
+    solve sequence of a one-lane run bitwise (a column's back-
+    substitution does not depend on the columns beside it, see
+    :mod:`repro.linalg.direct`).
+    """
+
+    def __init__(
+        self,
+        group: _ScenarioGroup,
+        originals: list[Scenario],
+        columns: list[int],
+        vp_config: BatchedVPConfig,
+    ):
+        # The group's shared arrays, not the group itself: a lane ->
+        # group -> lanes cycle would keep every run's arrays alive until
+        # a cyclic garbage collection.
+        self.g_cap = group.g_cap
+        self.pad_dc = group.pad_dc
+        self.pad_comp = group.pad_comp
+        self._comp_stack = group.comp_stack
+        self._comp_planes = group.comp_planes
+        self.originals = originals
+        self.columns = np.array(columns, dtype=int)
+        n_tiers = group.dc_stack.n_tiers
+
         # Scenario knobs that survive the baking: load scales feed the
         # per-step RHS directly, TSV knobs feed the propagation phase.
-        stripped = ScenarioSet(
+        self._stripped = ScenarioSet(
             [
                 Scenario(
                     name=s.name,
@@ -224,18 +294,16 @@ class _ScenarioGroup:
                 for s in originals
             ]
         )
-        dc_planes = cache.get(dc_stack, pin=True)
-        comp_planes = cache.get(comp_stack, pin=True)
-        self.dc_solver = BatchedVPSolver(
-            dc_stack, stripped, vp_config, planes=dc_planes
-        )
-        self.comp_solver = BatchedVPSolver(
-            comp_stack, stripped, vp_config, planes=comp_planes
-        )
-        self._comp_stack = comp_stack
-        self._stripped = stripped
         self._vp_config = vp_config
-        self._comp_planes = comp_planes
+        self.dc_solver = BatchedVPSolver(
+            group.dc_stack, self._stripped, vp_config, planes=group.dc_planes
+        )
+        self._full_comp_solver = BatchedVPSolver(
+            group.comp_stack,
+            self._stripped,
+            vp_config,
+            planes=group.comp_planes,
+        )
 
         # (n, S) per tier: loads pre-scaled by each scenario's per-tier
         # load corner; the stimulus activity multiplies per step.  The
@@ -246,26 +314,26 @@ class _ScenarioGroup:
         )
         self.base_scaled = [
             tier.loads.ravel()[:, None] * load_scales[l][None, :]
-            for l, tier in enumerate(dc_stack.tiers)
+            for l, tier in enumerate(group.dc_stack.tiers)
         ]
-        self.pad_dc = [
-            tier.g_pad.ravel() * tier.v_pad for tier in dc_stack.tiers
-        ]
-        self.pad_comp = [
-            tier.g_pad.ravel() * tier.v_pad for tier in comp_stack.tiers
-        ]
+        self.reset()
 
-        # Run state (narrowed on settle retirement).
-        self.active = np.arange(len(originals))
+    def reset(self) -> None:
+        """Fresh run state: every column active, nothing cached."""
+        self.active = np.arange(len(self.originals))
+        self.comp_solver = self._full_comp_solver
         self.v: np.ndarray | None = None          # (T, n, S_active)
         self.pillar_seed: np.ndarray | None = None
-        self.settle_count = np.zeros(len(originals), dtype=int)
+        self.settle_count = np.zeros(len(self.originals), dtype=int)
         # Step-to-step load cache: step/pulse stimuli hold their activity
         # vector constant across most steps, so the (n, S_active) load
         # batches are recomputed only when the activity actually moves.
         self._loads_activity: np.ndarray | None = None
         self._loads_cached: list[np.ndarray] | None = None
         self._rhs_buffers: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.column_steps = 0
+        #: ``(step, names)`` of the first step that failed to converge.
+        self.failure: tuple[int, list[str]] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -344,6 +412,18 @@ class _ScenarioGroup:
             settles = 0.0 if spec is None else spec.settles_at()
             out[pos] = settles is not None and t >= settles
         return out
+
+
+@dataclass
+class _Waveforms:
+    """The run's shared result arrays; each lane writes only its own
+    columns."""
+
+    worst: np.ndarray          # (K+1, S)
+    probe_wave: np.ndarray     # (K+1, n_probes, S)
+    outer_iters: np.ndarray    # (K, S)
+    settled_step: np.ndarray   # (S,)
+    final_fields: np.ndarray   # (T, n, S)
 
 
 class BatchedTransientSolver:
@@ -425,6 +505,13 @@ class BatchedTransientSolver:
         #: scales with the number of distinct (plane_scale, cap_scale)
         #: groups, never with the scenario count.
         self.n_factorizations = self.cache.thread_factorizations - count0
+        # Lanes of a run too small to split any solve stay on the calling
+        # thread: with several small groups, threads contending for the
+        # interpreter lock cost more than a second core gives (16x16x3
+        # grid, 4 groups of 4 scenarios: 56-66 ms serial, 81-90 ms spread).
+        self._spread = (
+            sum(group.work for group in self.groups) >= direct.SPLIT_MIN_WORK
+        )
         self._setup_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------
@@ -444,15 +531,6 @@ class BatchedTransientSolver:
             out.append((int(l), int(i), int(j)))
         return out
 
-    def _raise_diverged(self, result, names: list[str], t: float) -> None:
-        if result.converged.all():
-            return
-        bad = [n for n, ok in zip(names, result.converged) if not ok]
-        raise ReproError(
-            f"transient VP step at t={t:.3e}s did not converge for "
-            f"{len(bad)} scenario(s): {bad[:5]}"
-        )
-
     def run(
         self,
         t_end: float,
@@ -461,6 +539,9 @@ class BatchedTransientSolver:
         v0: np.ndarray | None = None,
     ) -> BatchedTransientResult:
         """Advance every scenario from 0 to ``t_end``.
+
+        Each lane (see the module doc) runs its DC point and all steps
+        as one task of :func:`repro.linalg.direct.run_lanes`.
 
         Parameters
         ----------
@@ -482,13 +563,13 @@ class BatchedTransientSolver:
         ------
         ReproError
             When any scenario's VP solve fails to converge at some step
-            (mirrors the sequential solver).
+            (mirrors the sequential solver: the earliest failing step,
+            naming that step's failing scenarios of the first group).
         GridError
             On a bad probe or ``v0`` shape.
         """
         t_start = time.perf_counter()
         stack = self.stack
-        config = self.config
         n_tiers, rows, cols = stack.n_tiers, stack.rows, stack.cols
         n = rows * cols
         n_scen = len(self.scenarios)
@@ -498,17 +579,6 @@ class BatchedTransientSolver:
         if t_end <= 0:
             raise ReproError("t_end must be positive")
         n_steps = int(np.ceil(t_end / self.dt))
-        times = np.empty(n_steps + 1)
-        times[0] = 0.0
-        worst = np.empty((n_steps + 1, n_scen))
-        probe_wave = np.empty((n_steps + 1, len(probes), n_scen))
-        outer_iters = np.zeros((n_steps, n_scen), dtype=int)
-        settled_step = np.full(n_scen, -1, dtype=int)
-        final_fields = np.empty((n_tiers, n, n_scen))
-        column_steps = 0
-
-        # ------------------------------------------------------------------
-        # t = 0: per-group DC operating point (or the caller's v0).
         if v0 is not None:
             v0 = np.asarray(v0, dtype=float)
             if v0.shape == (n_tiers, rows, cols):
@@ -518,125 +588,191 @@ class BatchedTransientSolver:
                     f"v0 shape {v0.shape} != {(n_tiers, rows, cols)} or "
                     f"{(n_tiers, rows, cols, n_scen)}"
                 )
-        for group in self.groups:
-            cols_g = group.active_columns
-            if v0 is None:
-                loads0 = group.loads_at(0.0)
-                group.dc_solver.set_rhs(
-                    [
-                        group.pad_dc[l][:, None] - loads0[l]
-                        for l in range(n_tiers)
-                    ]
-                )
-                seed = None
-                if config.v0_init == "loadshare" and stack.pillars.count:
-                    # The stripped scenarios carry load_scale 1, so the
-                    # solver's own loadshare seed would miss the corner
-                    # scales; feed it the actual t=0 column totals
-                    # (column-contiguous sums match the sequential
-                    # solver's per-tier sums bitwise).
-                    totals = np.stack(
-                        [
-                            np.asfortranarray(loads0[l]).sum(axis=0)
-                            for l in range(n_tiers)
-                        ]
-                    )
-                    seed = loadshare_v0(
-                        stack.v_pin,
-                        group.dc_solver.r_seg,
-                        totals,
-                        stack.pillars.count,
-                    )
-                dc_res = group.dc_solver.solve(v0=seed)
-                group.v = dc_res.voltages.reshape(n_tiers, n, cols_g.size)
-                group.pillar_seed = dc_res.pillar_v0
-            else:
-                group.v = np.ascontiguousarray(
-                    v0.reshape(n_tiers, n, n_scen)[:, :, cols_g]
-                )
-                group.pillar_seed = None
-            worst[0, cols_g] = group.v.min(axis=(0, 1))
-            for p, (l, flat) in enumerate(probe_flat):
-                probe_wave[0, p, cols_g] = group.v[l, flat]
-
-        # ------------------------------------------------------------------
-        # Backward-Euler steps.
-        tr = obs.tracer()
-        reg = obs.metrics()
-        for k in range(1, n_steps + 1):
-            t = k * self.dt
-            times[k] = t
-            for group in self.groups:
-                if not group.active.size:
-                    continue
-                cols_g = group.active_columns
-                column_steps += cols_g.size
-                reg.add("transient.column_steps", int(cols_g.size))
-                t0s = time.perf_counter()
-                group.comp_solver.set_rhs(group.step_rhs(group.loads_at(t)))
-                res = group.comp_solver.solve(v0=group.pillar_seed)
-                if tr.enabled:
-                    tr.add_complete(
-                        "step.solve", t0s, time.perf_counter() - t0s,
-                        step=k, scenarios=int(cols_g.size),
-                    )
-                self._raise_diverged(
-                    res, [self.scenarios[c].name for c in cols_g], t
-                )
-                v_prev = group.v
-                group.v = res.voltages.reshape(n_tiers, n, cols_g.size)
-                group.pillar_seed = res.pillar_v0
-                outer_iters[k - 1, cols_g] = res.outer_iterations
-                worst[k, cols_g] = group.v.min(axis=(0, 1))
-                for p, (l, flat) in enumerate(probe_flat):
-                    probe_wave[k, p, cols_g] = group.v[l, flat]
-
-                if config.settle_tol > 0 and k < n_steps:
-                    delta = np.abs(group.v - v_prev).max(axis=(0, 1))
-                    quiet = (delta <= config.settle_tol) & group.settles_by(t)
-                    group.settle_count = np.where(
-                        quiet, group.settle_count + 1, 0
-                    )
-                    retire = group.settle_count >= config.settle_window
-                    if np.any(retire):
-                        reg.add("transient.retirements", int(retire.sum()))
-                        retired_cols = cols_g[retire]
-                        settled_step[retired_cols] = k
-                        worst[k + 1 :, retired_cols] = worst[k, retired_cols]
-                        probe_wave[k + 1 :, :, retired_cols] = probe_wave[
-                            k : k + 1, :, retired_cols
-                        ]
-                        final_fields[:, :, retired_cols] = group.v[:, :, retire]
-                        group.narrow(~retire)
-
-        for group in self.groups:
-            if group.active.size:
-                final_fields[:, :, group.active_columns] = group.v
+            v0 = v0.reshape(n_tiers, n, n_scen)
+        out = _Waveforms(
+            worst=np.empty((n_steps + 1, n_scen)),
+            probe_wave=np.empty((n_steps + 1, len(probes), n_scen)),
+            outer_iters=np.zeros((n_steps, n_scen), dtype=int),
+            settled_step=np.full(n_scen, -1, dtype=int),
+            final_fields=np.empty((n_tiers, n, n_scen)),
+        )
+        lanes = [lane for group in self.groups for lane in group.lanes]
+        tasks = [
+            partial(self._advance, lane, k, out, n_steps, probe_flat, v0)
+            for k, lane in enumerate(lanes)
+        ]
+        if self._spread:
+            direct.run_lanes(tasks)
+        else:
+            for task in tasks:
+                task()
+        self._raise_first_failure()
 
         stats = BatchedTransientStats(
             setup_seconds=self._setup_seconds,
             solve_seconds=time.perf_counter() - t_start,
             n_steps=n_steps,
             n_groups=self.n_groups,
+            lanes=len(lanes),
             factorizations=self.n_factorizations,
-            column_steps=column_steps,
+            column_steps=sum(lane.column_steps for lane in lanes),
         )
-        reg.add("transient.steps", n_steps)
+        obs.metrics().add("transient.steps", n_steps)
+        tr = obs.tracer()
         if tr.enabled:
             tr.add_complete(
                 "transient.run", t_start, stats.solve_seconds,
                 steps=n_steps, scenarios=n_scen, groups=self.n_groups,
+                lanes=stats.lanes,
             )
         return BatchedTransientResult(
-            times=times,
-            worst_voltage=worst,
-            probe_voltages=probe_wave,
+            times=np.arange(n_steps + 1) * self.dt,
+            worst_voltage=out.worst,
+            probe_voltages=out.probe_wave,
             probes=probes,
-            voltages=final_fields.reshape(n_tiers, rows, cols, n_scen),
-            outer_iterations=outer_iters,
-            settled_step=settled_step,
+            voltages=out.final_fields.reshape(n_tiers, rows, cols, n_scen),
+            outer_iterations=out.outer_iters,
+            settled_step=out.settled_step,
             scenario_names=self.scenarios.names,
             stats=stats,
+        )
+
+    def _advance(
+        self,
+        lane: _Lane,
+        index: int,
+        out: _Waveforms,
+        n_steps: int,
+        probe_flat: list[tuple[int, int]],
+        v0: np.ndarray | None,
+    ) -> None:
+        """Run one lane from t = 0 through the last step, writing only
+        its own columns of ``out``.  A step that fails to converge stops
+        the lane and is kept in ``lane.failure`` for :meth:`run`."""
+        t_lane = time.perf_counter()
+        stack = self.stack
+        config = self.config
+        n_tiers = stack.n_tiers
+        n = stack.rows * stack.cols
+        tr = obs.tracer()
+        reg = obs.metrics()
+        lane.reset()
+
+        # t = 0: the lane's DC operating point (or the caller's v0).
+        cols_g = lane.columns
+        if v0 is None:
+            loads0 = lane.loads_at(0.0)
+            lane.dc_solver.set_rhs(
+                [lane.pad_dc[l][:, None] - loads0[l] for l in range(n_tiers)]
+            )
+            seed = None
+            if config.v0_init == "loadshare" and stack.pillars.count:
+                # The stripped scenarios carry load_scale 1, so the
+                # solver's own loadshare seed would miss the corner
+                # scales; feed it the actual t=0 column totals
+                # (column-contiguous sums match the sequential solver's
+                # per-tier sums bitwise).
+                totals = np.stack(
+                    [
+                        np.asfortranarray(loads0[l]).sum(axis=0)
+                        for l in range(n_tiers)
+                    ]
+                )
+                seed = loadshare_v0(
+                    stack.v_pin,
+                    lane.dc_solver.r_seg,
+                    totals,
+                    stack.pillars.count,
+                )
+            dc_res = lane.dc_solver.solve(v0=seed)
+            lane.v = dc_res.voltages.reshape(n_tiers, n, cols_g.size)
+            lane.pillar_seed = dc_res.pillar_v0
+        else:
+            lane.v = np.ascontiguousarray(v0[:, :, cols_g])
+        out.worst[0, cols_g] = lane.v.min(axis=(0, 1))
+        for p, (l, flat) in enumerate(probe_flat):
+            out.probe_wave[0, p, cols_g] = lane.v[l, flat]
+
+        # Backward-Euler steps.
+        for k in range(1, n_steps + 1):
+            if not lane.active.size:
+                break
+            t = k * self.dt
+            cols_g = lane.active_columns
+            lane.column_steps += cols_g.size
+            reg.add("transient.column_steps", int(cols_g.size))
+            t0s = time.perf_counter()
+            lane.comp_solver.set_rhs(lane.step_rhs(lane.loads_at(t)))
+            res = lane.comp_solver.solve(v0=lane.pillar_seed)
+            if tr.enabled:
+                tr.add_complete(
+                    "step.solve", t0s, time.perf_counter() - t0s,
+                    step=k, scenarios=int(cols_g.size),
+                )
+            if not res.converged.all():
+                lane.failure = (
+                    k,
+                    [
+                        self.scenarios[c].name
+                        for c, ok in zip(cols_g, res.converged)
+                        if not ok
+                    ],
+                )
+                break
+            v_prev = lane.v
+            lane.v = res.voltages.reshape(n_tiers, n, cols_g.size)
+            lane.pillar_seed = res.pillar_v0
+            out.outer_iters[k - 1, cols_g] = res.outer_iterations
+            out.worst[k, cols_g] = lane.v.min(axis=(0, 1))
+            for p, (l, flat) in enumerate(probe_flat):
+                out.probe_wave[k, p, cols_g] = lane.v[l, flat]
+
+            if config.settle_tol > 0 and k < n_steps:
+                delta = np.abs(lane.v - v_prev).max(axis=(0, 1))
+                quiet = (delta <= config.settle_tol) & lane.settles_by(t)
+                lane.settle_count = np.where(quiet, lane.settle_count + 1, 0)
+                retire = lane.settle_count >= config.settle_window
+                if np.any(retire):
+                    reg.add("transient.retirements", int(retire.sum()))
+                    retired_cols = cols_g[retire]
+                    out.settled_step[retired_cols] = k
+                    out.worst[k + 1 :, retired_cols] = out.worst[k, retired_cols]
+                    out.probe_wave[k + 1 :, :, retired_cols] = out.probe_wave[
+                        k : k + 1, :, retired_cols
+                    ]
+                    out.final_fields[:, :, retired_cols] = lane.v[:, :, retire]
+                    lane.narrow(~retire)
+
+        if lane.active.size:
+            out.final_fields[:, :, lane.active_columns] = lane.v
+        if tr.enabled:
+            tr.add_complete(
+                "transient.lane", t_lane, time.perf_counter() - t_lane,
+                lane=index, columns=int(lane.columns.size),
+            )
+
+    def _raise_first_failure(self) -> None:
+        """Raise what a one-lane run raises: the earliest failing step,
+        first group at that step, all of that group's failing scenarios
+        at that step."""
+        failures = [
+            (lane.failure[0], g, lane.failure[1])
+            for g, group in enumerate(self.groups)
+            for lane in group.lanes
+            if lane.failure is not None
+        ]
+        if not failures:
+            return
+        first = min(failure[:2] for failure in failures)
+        bad = [
+            name
+            for step, g, names in failures
+            if (step, g) == first
+            for name in names
+        ]
+        raise ReproError(
+            f"transient VP step at t={first[0] * self.dt:.3e}s did not "
+            f"converge for {len(bad)} scenario(s): {bad[:5]}"
         )
 
 

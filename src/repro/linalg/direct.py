@@ -22,13 +22,18 @@ two choices made here speed all of them up at once:
   both.
 * **Column-parallel back-substitution.**  SuperLU's triangular solve
   releases the GIL, so a wide multi-column solve is split into
-  contiguous column blocks run on a process-wide thread pool, one block
+  contiguous column blocks run as lanes (:func:`run_lanes`), one block
   per available core.  Under the symmetric ordering a column's result
   was measured not to depend on which other columns share its call
   (C1 and C3 planes, 1 to 16 columns, ``trans`` N and T), so the split
   result is bitwise the single-call result.  Narrow solves stay one
   call: below ``SPLIT_MIN_WORK`` rows x columns the thread hand-off
   costs more than it saves.
+
+The lane runner is shared: the batched transient engine advances whole
+scenario-column blocks through every time step the same way
+(:mod:`repro.core.transient_batch`), sized by the same rule
+(:func:`lane_count`).
 """
 
 from __future__ import annotations
@@ -36,11 +41,14 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro import obs
 from repro.errors import SingularSystemError
 
 #: SuperLU column orderings (see module doc): matrices with a zero-free
@@ -48,13 +56,15 @@ from repro.errors import SingularSystemError
 SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
 PIVOTING_ORDERING = "COLAMD"
 
-#: Smallest ``rows * columns`` solve split across the column pool.  On a
-#: 2-core host a C1 plane (22k free nodes) gains from the split at 16
-#: columns and loses at 8; the C3 plane (249k) gains at 8.
+#: Smallest ``rows * columns`` work cut into lanes (:func:`lane_count`).
+#: On a 2-core host a C1 plane (22k free nodes) gains from the split at
+#: 16 columns and loses at 8; the C3 plane (249k) gains at 8.
 SPLIT_MIN_WORK = 1 << 18
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+#: ``in_lane`` is set while the current thread runs a lane.
+_lane_state = threading.local()
 
 
 def _lanes() -> int:
@@ -66,13 +76,13 @@ def _lanes() -> int:
 
 
 def _column_pool() -> ThreadPoolExecutor:
-    """The process-wide pool running column blocks beside the calling
-    thread (created on first use, one worker per extra core)."""
+    """The process-wide pool running lanes beside the calling thread
+    (created on first use, one worker per extra core)."""
     global _pool
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(
-                max_workers=_lanes() - 1, thread_name_prefix="repro-lu-solve"
+                max_workers=_lanes() - 1, thread_name_prefix="repro-lane"
             )
         return _pool
 
@@ -85,6 +95,86 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def in_lane() -> bool:
+    """Whether the calling thread is running a lane of :func:`run_lanes`."""
+    return getattr(_lane_state, "in_lane", False)
+
+
+def lane_count(rows: int, columns: int) -> int:
+    """Lanes a ``rows x columns`` block of independent column work is cut
+    into: one per core and at most one per column once the work reaches
+    ``SPLIT_MIN_WORK``, else one.  Inside a lane it is always one (the
+    cores are taken already)."""
+    if rows * columns < SPLIT_MIN_WORK or in_lane():
+        return 1
+    return min(_lanes(), columns)
+
+
+def lane_edges(columns: int, lanes: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of ``lanes`` contiguous, near-equal column
+    blocks covering ``range(columns)``."""
+    edges = np.linspace(0, columns, lanes + 1).astype(int)
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def run_lanes(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run independent ``tasks`` concurrently on the calling thread and
+    the process-wide pool; return once every task has stopped.
+
+    Threads pull the next unclaimed task until none is left, so the
+    caller works through the list too, and it never waits for a pool
+    worker that is busy elsewhere -- only for tasks another thread has
+    already started.  Each task runs under the caller's telemetry
+    session (``obs.scoped``), so its counters and spans land where the
+    caller's would.  Lane threads are marked (:func:`in_lane`): a run
+    nested inside a lane takes no pool worker, and a
+    :meth:`DirectSolver.solve` inside a lane stays one call.  The first
+    exception in task order is re-raised on the caller after all tasks
+    have stopped.
+    """
+    tasks = list(tasks)
+    if not tasks:
+        return
+    errors: list[BaseException | None] = [None] * len(tasks)
+    claim = iter(range(len(tasks)))
+    lock = threading.Lock()
+    pending = [len(tasks)]
+    finished = threading.Event()
+    telemetry = obs.active()
+
+    def drain() -> None:
+        outer = in_lane()
+        _lane_state.in_lane = True
+        try:
+            with obs.scoped(telemetry):
+                while True:
+                    with lock:
+                        i = next(claim, None)
+                    if i is None:
+                        return
+                    try:
+                        tasks[i]()
+                    except BaseException as exc:  # re-raised on the caller
+                        errors[i] = exc
+                    with lock:
+                        pending[0] -= 1
+                        if not pending[0]:
+                            finished.set()
+        finally:
+            _lane_state.in_lane = outer
+
+    helpers = 0 if in_lane() else min(_lanes(), len(tasks)) - 1
+    if helpers > 0:
+        pool = _column_pool()
+        for _ in range(helpers):
+            pool.submit(drain)
+    drain()
+    finished.wait()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class DirectSolver:
@@ -136,8 +226,8 @@ class DirectSolver:
 
         ``b`` may be ``(n,)`` or ``(n, k)``; the multi-column form solves
         all ``k`` systems against the cached factorization (the batched
-        scenario engine's CVN hot path), split across the column pool
-        when wide enough (see module doc).
+        scenario engine's CVN hot path), split into lanes when wide
+        enough (see module doc).
 
         ``trans="T"`` solves the transposed system ``A^T x = b`` against
         the *same* factors (``U^T L^T`` back-substitution) -- the adjoint
@@ -159,8 +249,9 @@ class DirectSolver:
             )
         if b.ndim == 2 and b.shape[1] == 0:
             return np.empty_like(b)
-        if b.ndim == 2 and b.size >= SPLIT_MIN_WORK and _lanes() > 1:
-            x = self._split_solve(b, trans, min(_lanes(), b.shape[1]))
+        blocks = lane_count(*b.shape) if b.ndim == 2 else 1
+        if blocks > 1:
+            x = self._split_solve(b, trans, blocks)
         else:
             x = self._lu.solve(b, trans=trans)
         if not np.all(np.isfinite(x)):
@@ -170,22 +261,15 @@ class DirectSolver:
         return x
 
     def _split_solve(self, b: np.ndarray, trans: str, blocks: int) -> np.ndarray:
-        """Solve ``blocks`` contiguous column blocks of ``b`` concurrently:
-        the first on the calling thread, the rest on the column pool."""
+        """Solve ``blocks`` contiguous column blocks of ``b`` as lanes."""
         x = np.empty(b.shape, order="F")  # SuperLU's own output layout
-        edges = np.linspace(0, b.shape[1], blocks + 1).astype(int)
 
-        def run(lo: int, hi: int) -> None:
+        def solve_block(lo: int, hi: int) -> None:
             x[:, lo:hi] = self._lu.solve(b[:, lo:hi], trans=trans)
 
-        pool = _column_pool()
-        futures = [
-            pool.submit(run, lo, hi)
-            for lo, hi in zip(edges[1:-1], edges[2:])
-        ]
-        run(edges[0], edges[1])
-        for future in futures:
-            future.result()
+        run_lanes(
+            [partial(solve_block, lo, hi) for lo, hi in lane_edges(b.shape[1], blocks)]
+        )
         return x
 
 

@@ -250,24 +250,42 @@ class Series:
 
     The only instrument whose memory grows with the workload; the
     session layer records into it only when series capture is enabled.
+    Points are stored as pairs, so an :meth:`append` is one list append:
+    threads appending to one series (the lanes of a batched transient
+    run) can interleave points but never pair one thread's step with
+    another's value.
     """
 
-    __slots__ = ("name", "steps", "values")
+    __slots__ = ("name", "_points")
 
     def __init__(self, name: str):
         self.name = name
-        self.steps: list[float] = []
-        self.values: list[float] = []
+        self._points: list[tuple[float, float]] = []
 
     def append(self, step: float, value: float) -> None:
-        self.steps.append(float(step))
-        self.values.append(float(value))
+        self._points.append((float(step), float(value)))
+
+    @property
+    def steps(self) -> list[float]:
+        return [step for step, _ in self._points]
+
+    @property
+    def values(self) -> list[float]:
+        return [value for _, value in self._points]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._points)
 
     def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.steps, self.values))
+        return list(self._points)
+
+    def as_dict(self) -> dict:
+        """``{"steps": [...], "values": [...]}`` from one consistent copy."""
+        points = self.points()
+        return {
+            "steps": [step for step, _ in points],
+            "values": [value for _, value in points],
+        }
 
 
 class MetricsRegistry:
@@ -343,7 +361,9 @@ class MetricsRegistry:
     def series(self, name: str) -> Series:
         instrument = self.series_store.get(name)
         if instrument is None:
-            instrument = self.series_store[name] = Series(name)
+            # Handles are taken outside the lock (``obs.active_series``);
+            # setdefault keeps two threads from each creating one.
+            instrument = self.series_store.setdefault(name, Series(name))
         return instrument
 
     # -- one-call updates (what the engines use) -------------------------
@@ -466,8 +486,7 @@ class MetricsRegistry:
                 }
             if include_series:
                 snap["series"] = {
-                    k: {"steps": list(s.steps), "values": list(s.values)}
-                    for k, s in self.series_store.items()
+                    k: s.as_dict() for k, s in self.series_store.items()
                 }
             return snap
 

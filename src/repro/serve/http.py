@@ -60,6 +60,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in separate sends; with Nagle's algorithm
+    #: on, the body of every response after the first on a keep-alive
+    #: connection waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
     #: Injected by :func:`make_http_server`.
     service: GridAnalysisService
 

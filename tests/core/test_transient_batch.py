@@ -13,9 +13,15 @@ never per scenario or per step, counter-asserted through
 
 from __future__ import annotations
 
+import gc
+import threading
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.planes import PlaneFactorCache
 from repro.core.transient import TransientVPSolver
 from repro.core.transient_batch import (
@@ -26,6 +32,7 @@ from repro.core.transient_batch import (
 from repro.core.vp import VPConfig
 from repro.errors import GridError, ReproError
 from repro.grid.generators import synthesize_stack
+from repro.linalg import direct
 from repro.scenarios import (
     Scenario,
     ScenarioSet,
@@ -356,6 +363,196 @@ class TestSeedsAndOverrides:
         )
         with pytest.raises(GridError):
             solver.run(T_END, v0=np.zeros((2, 2)))
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the core count the lane rule sees, with every group wide
+    enough to split (``SPLIT_MIN_WORK`` 1)."""
+    monkeypatch.setattr(direct, "SPLIT_MIN_WORK", 1)
+    monkeypatch.setattr(direct, "_pool", None)
+
+    def set_cores(n: int) -> None:
+        monkeypatch.setattr(direct, "_lanes", lambda: n)
+
+    yield set_cores
+    if direct._pool is not None:
+        direct._pool.shutdown()
+
+
+def one_and_three_lanes(cores, build, t_end=T_END, **run_kwargs):
+    """The same batch run on one lane per group and on three cores."""
+    runs = []
+    for n in (1, 3):
+        cores(n)
+        solver = build()
+        runs.append((solver, solver.run(t_end, **run_kwargs)))
+    return runs
+
+
+def assert_bitwise_equal(one, three):
+    for name in (
+        "times",
+        "worst_voltage",
+        "probe_voltages",
+        "voltages",
+        "outer_iterations",
+        "settled_step",
+    ):
+        np.testing.assert_array_equal(
+            getattr(three, name), getattr(one, name), err_msg=name
+        )
+    assert three.stats.column_steps == one.stats.column_steps
+
+
+class TestLanes:
+    """Lanes cut a group's columns into blocks advanced on their own
+    threads; every result must be bitwise what one lane computes."""
+
+    def test_mixed_groups_with_probes_and_retirement(self, cores, small_stack):
+        config = BatchedTransientConfig(settle_tol=1e-7)
+        (one_solver, one), (solver, three) = one_and_three_lanes(
+            cores,
+            lambda: BatchedTransientSolver(
+                small_stack, mixed_scenarios(), CAPS, DT, config
+            ),
+            t_end=2 * T_END,
+            probes=PROBES,
+        )
+        assert (three.settled_step > 0).any()
+        assert_bitwise_equal(one, three)
+        # A second run starts from fresh lanes, not the retired state.
+        assert_bitwise_equal(one, solver.run(2 * T_END, probes=PROBES))
+        # n_groups counts factor groups; the 6-column baseline group
+        # splits into 3 lanes, the two 1-column groups stay whole.
+        assert solver.n_groups == one_solver.n_groups == 3
+        assert [len(g.lanes) for g in solver.groups] == [3, 1, 1]
+        assert (one.stats.lanes, three.stats.lanes) == (3, 5)
+        assert solver.n_factorizations == one_solver.n_factorizations
+
+    def test_shared_and_per_scenario_v0(self, cores, small_stack):
+        scenarios = mixed_scenarios()
+        shape = (small_stack.n_tiers, small_stack.rows, small_stack.cols)
+        flat = np.full(shape, small_stack.v_pin)
+        offsets = 1e-3 * np.arange(len(scenarios))
+        for v0 in (flat, flat[..., None] - offsets):
+            (_, one), (_, three) = one_and_three_lanes(
+                cores,
+                lambda: BatchedTransientSolver(
+                    small_stack, scenarios, CAPS, DT
+                ),
+                v0=v0,
+            )
+            assert_bitwise_equal(one, three)
+
+    def test_loadshare_seed(self, cores, small_stack):
+        config = BatchedTransientConfig(v0_init="loadshare")
+        (_, one), (_, three) = one_and_three_lanes(
+            cores,
+            lambda: BatchedTransientSolver(
+                small_stack, mixed_scenarios(), CAPS, DT, config
+            ),
+        )
+        assert three.stats.lanes > one.stats.lanes
+        assert_bitwise_equal(one, three)
+
+    def test_unconverged_scenarios_in_two_lanes(self, cores, small_stack):
+        """Stiff TSVs fail one scenario in lane 0 and one in lane 2 at
+        the same step: the caller gets the one-lane message naming both,
+        and the lane pool keeps working afterwards."""
+        stiff = ("step-to-0.6", "rtsv")
+        scenarios = [
+            replace(s, r_tsv_scale=100.0) if s.name in stiff else s
+            for s in mixed_scenarios()
+        ]
+        config = BatchedTransientConfig(max_outer=4)
+        messages = []
+        for n in (1, 3):
+            cores(n)
+            solver = BatchedTransientSolver(
+                small_stack, scenarios, CAPS, DT, config
+            )
+            with pytest.raises(ReproError, match="did not converge") as err:
+                solver.run(T_END)
+            messages.append(str(err.value))
+        assert "['step-to-0.6', 'rtsv']" in messages[0]
+        assert messages[1] == messages[0]
+        lane_names = [lane._stripped.names for lane in solver.groups[0].lanes]
+        assert "step-to-0.6" in lane_names[0] and "rtsv" in lane_names[2]
+        (_, one), (_, three) = one_and_three_lanes(
+            cores,
+            lambda: BatchedTransientSolver(
+                small_stack, mixed_scenarios(), CAPS, DT
+            ),
+        )
+        assert_bitwise_equal(one, three)
+
+    def test_small_run_stays_on_the_calling_thread(self, small_stack):
+        """Below the split threshold every group is one lane, and the
+        lanes run one after another on the caller."""
+        job_tel = obs.Telemetry(trace=True)
+        with obs.scoped(job_tel):
+            result = BatchedTransientSolver(
+                small_stack, mixed_scenarios(), CAPS, DT
+            ).run(T_END)
+        lanes = [e for e in job_tel.tracer.events if e.name == "transient.lane"]
+        assert result.stats.lanes == len(lanes) == 3
+        assert {e.tid for e in lanes} == {threading.get_ident()}
+
+    def test_solver_is_freed_without_the_cycle_collector(
+        self, cores, small_stack
+    ):
+        """Lanes must not point back at their group: a reference cycle
+        kept every run's solvers and arrays alive until a cyclic
+        collection, and peak memory grew with each run."""
+        cores(3)
+        solver = BatchedTransientSolver(
+            small_stack, mixed_scenarios(), CAPS, DT
+        )
+        solver.run(T_END)
+        lane = weakref.ref(solver.groups[0].lanes[0])
+        alive = weakref.ref(solver)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del solver
+            assert alive() is None and lane() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_lane_telemetry_lands_in_the_scoped_session(
+        self, cores, small_stack, monkeypatch
+    ):
+        """Two lanes that must run at once (a barrier), under a job's
+        scoped session: counters and lane spans reach that session, from
+        two threads."""
+        cores(2)
+        barrier = threading.Barrier(2)
+        advance = BatchedTransientSolver._advance
+
+        def advance_together(self, *args):
+            barrier.wait(timeout=60)
+            return advance(self, *args)
+
+        monkeypatch.setattr(
+            BatchedTransientSolver, "_advance", advance_together
+        )
+        solver = BatchedTransientSolver(
+            small_stack, load_step_sweep((0.5, 1.5), t_step=1e-9), CAPS, DT
+        )
+        job_tel = obs.Telemetry(trace=True)
+        with obs.scoped(job_tel):
+            result = solver.run(T_END)
+        assert result.stats.lanes == 2
+        counters = job_tel.registry.snapshot()["counters"]
+        assert counters["transient.column_steps"] == result.stats.column_steps
+        lanes = [e for e in job_tel.tracer.events if e.name == "transient.lane"]
+        assert sorted(e.attrs["lane"] for e in lanes) == [0, 1]
+        assert all(e.attrs["columns"] == 1 for e in lanes)
+        assert len({e.tid for e in lanes}) == 2
+        (run,) = [e for e in job_tel.tracer.events if e.name == "transient.run"]
+        assert run.attrs["lanes"] == 2
 
 
 class TestValidation:

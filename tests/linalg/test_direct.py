@@ -186,6 +186,66 @@ class TestSplitSolve:
             assert np.array_equal(got, want)
 
 
+class TestLaneRunner:
+    def test_wide_solve_inside_a_lane_runs_inline(
+        self, c0_plane, wide_rhs, monkeypatch
+    ):
+        """Two lanes on a 1-worker pool each run a solve wide enough to
+        split; a nested split would wait on the busy worker forever."""
+        monkeypatch.setattr(direct, "_lanes", lambda: 2)
+        monkeypatch.setattr(direct, "_pool", None)
+        solver = DirectSolver(c0_plane[0])
+        expected = solver._lu.solve(wide_rhs)
+        splits = []
+        split = DirectSolver._split_solve
+
+        def counted(self, *args):
+            splits.append(direct.in_lane())
+            return split(self, *args)
+
+        monkeypatch.setattr(DirectSolver, "_split_solve", counted)
+        results: list = [None, None]
+
+        def lane(k: int):
+            def run() -> None:
+                results[k] = solver.solve(wide_rhs)
+
+            return run
+
+        runner = threading.Thread(
+            target=direct.run_lanes, args=([lane(0), lane(1)],), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=60)
+        finished = not runner.is_alive()
+        direct._pool.shutdown(wait=finished)
+        assert finished, "a solve inside a lane never finished"
+        assert splits == []
+        for got in results:
+            assert np.array_equal(got, expected)
+
+    def test_first_error_in_task_order_after_all_stopped(self, three_lanes):
+        ran = []
+
+        def ok(k: int):
+            return lambda: ran.append(k)
+
+        def fail(k: int):
+            def run() -> None:
+                ran.append(k)
+                raise ValueError(f"lane {k}")
+
+            return run
+
+        tasks = [ok(0), fail(1), ok(2), fail(3), ok(4)]
+        with pytest.raises(ValueError, match="lane 1"):
+            direct.run_lanes(tasks)
+        assert sorted(ran) == [0, 1, 2, 3, 4]
+        direct.run_lanes([ok(5), ok(6)])  # the pool still runs lanes
+        assert sorted(ran) == [0, 1, 2, 3, 4, 5, 6]
+        assert not direct.in_lane()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_solves_on_a_fresh_pool(c0_plane, wide_rhs):
     solver = DirectSolver(c0_plane[0])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import MetricsRegistry, snapshot_delta
@@ -51,6 +54,40 @@ class TestInstruments:
         s = reg.series("residual")
         assert len(s) == 2
         assert s.points() == [(1.0, 1e-2), (2.0, 1e-4)]
+
+    def test_series_appends_from_threads_keep_their_pairs(self):
+        """Threads appending to one series (each through its own
+        get-or-create lookup, as ``obs.active_series`` does) interleave
+        points but never pair a step with another thread's value."""
+        reg = MetricsRegistry()
+        n_threads, n_points = 4, 2000
+        barrier = threading.Barrier(n_threads)
+
+        def worker(t: int) -> None:
+            barrier.wait(timeout=30)
+            series = reg.series("batch.residual")
+            for i in range(n_points):
+                step = t * n_points + i
+                series.append(step, -step)
+
+        threads = [
+            threading.Thread(target=worker, args=(t,))
+            for t in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        points = reg.series("batch.residual").points()
+        assert len(points) == n_threads * n_points
+        assert all(value == -step for step, value in points)
+        snap = reg.snapshot(include_series=True)["series"]["batch.residual"]
+        assert snap["values"] == [-step for step in snap["steps"]]
 
     def test_ops_counts_every_update(self):
         reg = MetricsRegistry()

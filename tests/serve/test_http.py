@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import statistics
 import threading
+import time
+from http.client import HTTPConnection
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -52,6 +55,24 @@ def client():
 
 def test_healthz(client):
     assert client.call("GET", "/healthz") == (200, {"status": "ok"})
+
+
+def test_keep_alive_responses_are_not_delayed(client):
+    """Requests reusing one connection must not wait on the client's
+    delayed ACK (Nagle's algorithm holds the body send behind the header
+    send: ~40 ms per response)."""
+    connection = HTTPConnection("127.0.0.1", int(client.base.rsplit(":", 1)[1]))
+    latencies = []
+    try:
+        for _ in range(10):
+            t0 = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert json.loads(response.read()) == {"status": "ok"}
+            latencies.append(time.perf_counter() - t0)
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020, latencies
 
 
 def test_register_submit_wait_roundtrip(client):
