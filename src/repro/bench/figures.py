@@ -16,7 +16,7 @@ import numpy as np
 from repro.bench.circuits import PAPER_TABLE1
 from repro.bench.reporting import ascii_table
 from repro.bench.table1 import Table1Result
-from repro.core.vp import VPConfig, VoltagePropagationSolver
+from repro.core.vp import VPConfig, VoltagePropagationSolver, resolve_vda_policy
 from repro.grid.stack3d import PowerGridStack
 
 
@@ -124,7 +124,9 @@ def fig3_trace(
     from dataclasses import replace
 
     solver = VoltagePropagationSolver(stack, replace(config))
-    base = solver._resolve_vda_policy()
+    base = resolve_vda_policy(
+        solver.config.vda, solver.config.eta, solver.auto_eta
+    )
     solver.config.vda = _RecordingPolicy(base)
     result = solver.solve()
     # The converged final state is not passed through VDA; append it.

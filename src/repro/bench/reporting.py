@@ -6,7 +6,6 @@ import csv
 import json
 from pathlib import Path
 
-from repro.units import format_seconds
 
 #: Version of the ``BENCH_<name>.json`` artifact schema emitted by
 #: ``benchmarks/conftest.py`` (documented in the README benchmark
@@ -84,11 +83,3 @@ def write_json(path: str | Path, payload) -> Path:
         json.dump(_jsonable(payload), handle, indent=2, sort_keys=False)
         handle.write("\n")
     return path
-
-
-def fmt_mb(n_bytes: float | None) -> str:
-    return "-" if n_bytes is None else f"{n_bytes / 1e6:.1f}"
-
-
-def fmt_time(seconds: float | None) -> str:
-    return "-" if seconds is None else format_seconds(seconds)

@@ -24,6 +24,13 @@ Column ``s`` of the batch follows exactly the iteration sequence a
 standalone ``solve_vp(scenario.apply(stack), inner="direct")`` would
 take -- the single-scenario path is the batch-size-1 special case of
 this code (both drive :class:`repro.core.planes.ReducedPlaneSystem`).
+
+The lockstep outer iteration itself lives in :class:`LockstepVP`, the
+one loop every column-batched engine drives: this module's scenario
+sweep, the ECO engine (:mod:`repro.eco.engine`, base factors plus
+Woodbury corrections) and the adjoint engine
+(:mod:`repro.sensitivity.adjoint`, transposed factors, target 0).  They
+differ only in the per-tier plane step they hand the loop.
 """
 
 from __future__ import annotations
@@ -35,51 +42,16 @@ import numpy as np
 
 from repro import obs
 from repro.core.planes import ReducedPlaneSystem
-from repro.core.vda import VDAPolicy, make_vda_policy
+from repro.core.vda import VDAPolicy
 from repro.core.vp import (
-    AUTO_ANDERSON_WINDOW,
-    AUTO_ETA_THRESHOLD,
-    loadshare_v0,
+    _check_outer_loop,
+    _seed_v0,
+    pillar_gain_setup,
     resolve_vda_policy,
 )
 from repro.errors import ConvergenceError, GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario, ScenarioSet
-
-
-class _ColumnSplitVDA(VDAPolicy):
-    """Different policies on disjoint scenario-column subsets.
-
-    The batched ``"auto"`` rule must mirror the standalone choice *per
-    scenario*: adaptive where the gain-bound damping is healthy,
-    Anderson where a stiff design point forces tiny damping.  Each
-    sub-policy sees the full ``(P, S)`` batch every iteration (keeping
-    its per-column state aligned with the batch layout); the split only
-    selects whose output each column uses, so column ``s`` still follows
-    exactly the sequence a standalone solve of scenario ``s`` takes.
-    """
-
-    name = "auto-split"
-
-    def __init__(self, parts: list[tuple[VDAPolicy, np.ndarray]]):
-        self.parts = parts
-
-    def reset(self, n_pillars) -> None:
-        for policy, _ in self.parts:
-            policy.reset(n_pillars)
-
-    def update(
-        self,
-        v0: np.ndarray,
-        residual: np.ndarray,
-        active: np.ndarray | None = None,
-    ) -> np.ndarray:
-        out = np.array(v0, copy=True)
-        for policy, cols in self.parts:
-            sub = cols if active is None else (cols & active)
-            v_new = policy.update(v0, residual, active=sub)
-            out[:, cols] = v_new[:, cols]
-        return out
 
 
 @dataclass
@@ -105,14 +77,7 @@ class BatchedVPConfig:
     v0_init: str = "pin"
 
     def __post_init__(self) -> None:
-        if self.outer_tol <= 0:
-            raise ReproError("outer_tol must be positive")
-        if self.max_outer < 1:
-            raise ReproError("max_outer must be >= 1")
-        if self.v0_init not in ("pin", "loadshare"):
-            raise ReproError(
-                f"unknown v0_init {self.v0_init!r}; use 'pin' or 'loadshare'"
-            )
+        _check_outer_loop(self.outer_tol, self.max_outer, self.eta, self.v0_init)
 
 
 @dataclass
@@ -196,6 +161,265 @@ class BatchedVPResult:
         return batch_worst_ir_drop(self.voltages, reference)
 
 
+def _narrow(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Column subset without a copy when every column is live."""
+    return matrix if idx.size == matrix.shape[-1] else matrix[:, idx]
+
+
+class LockstepVP:
+    """The VP outer iteration over ``(P, S)`` pillar columns.
+
+    One loop for every column-batched engine: per outer iteration the
+    live columns run CVN, TSV current extraction and propagation tier
+    by tier, then the residual against ``target``, early retirement and
+    the column-wise VDA update.  Engines differ only in the setup data
+    given here and the per-tier plane step, :meth:`cvn` and
+    :meth:`drawn`: back-substitution on the cached LU factors (per
+    column ``plane_scale`` ``(T, S)`` takes the scaled-factor path,
+    ``trans="T"`` the adjoint), which the ECO engine overrides.
+
+    ``r_seg`` is ``(T, P, S)``, ``has_pin`` ``(P,)`` or ``(P, S)`` and
+    ``degree`` the ``(P, S)`` tier-0 pillar degree conductance (see
+    :func:`repro.core.vp.pillar_gain_setup`).  ``target`` is the
+    voltage pinned pillars are driven to, and the ``"pin"`` seed: the
+    pin voltage, or 0 for the adjoint.  ``tier_totals`` ``(T, S)``
+    feeds the ``"loadshare"`` seed.  ``telemetry`` prefixes the
+    counters (``column_solves``, ``retirements``,
+    ``outer_iterations``), the residual series and the ``solve`` span.
+    """
+
+    def __init__(
+        self,
+        config: BatchedVPConfig,
+        planes: ReducedPlaneSystem,
+        r_seg: np.ndarray,
+        has_pin: np.ndarray,
+        degree: np.ndarray,
+        target: float,
+        *,
+        tier_totals: np.ndarray | None = None,
+        plane_scale: np.ndarray | None = None,
+        trans: str = "N",
+        telemetry: str = "batch",
+    ):
+        self.config = config
+        self.planes = planes
+        self.r_seg = r_seg
+        self.has_pin = np.broadcast_to(
+            has_pin[:, None] if has_pin.ndim == 1 else has_pin, degree.shape
+        )
+        self.target = target
+        self.tier_totals = tier_totals
+        self.plane_scale = plane_scale
+        self.trans = trans
+        self.telemetry = telemetry
+        self.pillar_gain_bound, self.auto_eta, self.r_unit = pillar_gain_setup(
+            degree, r_seg, has_pin
+        )
+
+    def cvn(self, l, idx, pillar_v, b_free, scale, out):
+        """Tier ``l``'s field for the live columns ``idx``: back-substitute
+        with the pillar voltages held fixed, scatter into ``out``."""
+        x_free = self.planes.solve_free(
+            l, pillar_v, b_free=b_free, scale=scale, trans=self.trans
+        )
+        return self.planes.assemble(x_free, pillar_v, out=out)
+
+    def drawn(self, l, idx, v_full, b_pillar, scale):
+        """Current each pillar delivers into tier ``l``'s plane."""
+        return self.planes.drawn_currents(
+            l, v_full, b_pillar=b_pillar, scale=scale
+        )
+
+    def run(
+        self, b_free, b_pillar, v0=None, names=(), **span_attrs
+    ) -> BatchedVPResult:
+        """Iterate until every column retires or ``config.max_outer`` is
+        spent, from the tiers' ``(n_free, S)``/``(P, S)`` right-hand
+        sides ``b_free``/``b_pillar``.
+
+        ``v0`` seeds layer 0: ``(P,)`` for all columns alike, ``(P, S)``
+        per column, None for the ``config.v0_init`` rule.  Returns the
+        columns, labelled ``names``, as a :class:`BatchedVPResult` with
+        the loop's cost in its stats; ``span_attrs`` go on the
+        ``<telemetry>.solve`` span.
+
+        Raises
+        ------
+        GridError
+            If ``v0`` has neither of the accepted shapes.
+        ConvergenceError
+            When ``config.raise_on_divergence`` is set and a column is
+            still above tolerance after ``config.max_outer`` iterations.
+        """
+        config = self.config
+        t_start = time.perf_counter()
+        n_tiers, n_pillars, n_cols = self.r_seg.shape
+        v0 = _seed_v0(v0, config.v0_init, self.target, self.r_seg, self.tier_totals)
+        policy = resolve_vda_policy(config.vda, config.eta, self.auto_eta)
+        policy.reset((n_pillars, n_cols))
+
+        # Uninitialized is safe: every column is stored either when it
+        # retires or at loop exit (stragglers) -- and 33 MB+ memsets per
+        # solve are measurable in the transient step loop.
+        voltages = np.empty((n_tiers, self.planes.n, n_cols))
+        stats = BatchedVPStats()
+        phase = stats.phase_seconds
+        tr = obs.tracer()
+        reg = obs.metrics()
+        prefix = self.telemetry
+        residual_series = obs.active_series(f"{prefix}.residual")
+        history: list[BatchOuterRecord] = []
+        active = np.ones(n_cols, dtype=bool)
+        converged = np.zeros(n_cols, dtype=bool)
+        outer_counts = np.zeros(n_cols, dtype=int)
+        max_f = np.full(n_cols, np.inf)
+        residual_full = np.zeros((n_pillars, n_cols))
+        pillar_currents = np.zeros((n_pillars, n_cols))
+
+        # max_outer >= 1, so the loop body binds idx, fields and in_place.
+        for outer in range(1, config.max_outer + 1):
+            idx = np.flatnonzero(active)
+            stats.column_solves += idx.size
+            reg.add(f"{prefix}.column_solves", int(idx.size))
+            pillar_v = v0[:, idx].copy() if idx.size != n_cols else v0.copy()
+            cumulative = np.zeros((n_pillars, idx.size))
+            fields: list[np.ndarray] = []
+            # Full-width iterations assemble straight into the result
+            # buffer, so retirement needs no copy for them.
+            in_place = idx.size == n_cols
+            scales = (
+                [None] * n_tiers
+                if self.plane_scale is None
+                else _narrow(self.plane_scale, idx)
+            )
+
+            for l in range(n_tiers):
+                t0 = time.perf_counter()
+                scale = scales[l]
+                v_full = self.cvn(
+                    l, idx, pillar_v, _narrow(b_free[l], idx), scale,
+                    voltages[l] if in_place else None,
+                )
+                fields.append(v_full)
+                dt = time.perf_counter() - t0
+                phase["cvn"] += dt
+                if tr.enabled:
+                    tr.add_complete(
+                        "cvn", t0, dt, outer=outer, tier=l, columns=int(idx.size)
+                    )
+
+                t0 = time.perf_counter()
+                cumulative += self.drawn(
+                    l, idx, v_full, _narrow(b_pillar[l], idx), scale
+                )
+                dt = time.perf_counter() - t0
+                phase["tsv"] += dt
+                if tr.enabled:
+                    tr.add_complete(
+                        "tsv", t0, dt, outer=outer, tier=l, columns=int(idx.size)
+                    )
+
+                t0 = time.perf_counter()
+                pillar_v = pillar_v + cumulative * _narrow(self.r_seg[l], idx)
+                phase["propagate"] += time.perf_counter() - t0
+
+            pillar_currents[:, idx] = cumulative
+            # Residual: propagated-source-voltage gap at pinned pillars,
+            # leftover pillar current (in volts) at un-pinned ones.
+            if self.r_unit is None:
+                residual = self.target - pillar_v
+            else:
+                residual = np.where(
+                    _narrow(self.has_pin, idx),
+                    self.target - pillar_v,
+                    -cumulative * _narrow(self.r_unit, idx),
+                )
+            residual_full[:, idx] = residual
+            f_active = (
+                np.max(np.abs(residual), axis=0)
+                if n_pillars
+                else np.zeros(idx.size)
+            )
+            max_f[idx] = f_active
+            outer_counts[idx] = outer
+            if residual_series is not None and f_active.size:
+                residual_series.append(outer, float(f_active.max()))
+
+            # Retire freshly converged columns: freeze their voltage
+            # fields now (still-active columns are rewritten every
+            # iteration anyway, so they are only stored on retirement or
+            # at loop exit).
+            done = f_active <= config.outer_tol
+            if np.any(done):
+                reg.add(f"{prefix}.retirements", int(done.sum()))
+                cols = idx[done]
+                if not in_place:
+                    for l in range(n_tiers):
+                        voltages[l][:, cols] = fields[l][:, done]
+                converged[cols] = True
+                active[cols] = False
+            stats.outer_iterations = outer
+            if config.record_history:
+                history.append(
+                    BatchOuterRecord(
+                        iteration=outer,
+                        active_scenarios=int(active.sum()),
+                        max_vdiff=max_f.copy(),
+                    )
+                )
+            if not active.any():
+                break
+
+            t0 = time.perf_counter()
+            # Full-width update, masked write-back: retired columns stay
+            # frozen while the policy's per-column state keeps indexing
+            # consistent with the batch layout.
+            v_new = policy.update(v0, residual_full, active=active)
+            live = np.flatnonzero(active)
+            v0[:, live] = v_new[:, live]
+            phase["vda"] += time.perf_counter() - t0
+
+        if active.any() and not in_place:
+            # max_outer exhausted: store the stragglers' last fields
+            # (``fields`` columns follow ``idx`` of the final iteration;
+            # full-width iterations already wrote in place).
+            live = active[idx]
+            cols = np.flatnonzero(active)
+            for l in range(n_tiers):
+                voltages[l][:, cols] = fields[l][:, live]
+
+        stats.solve_seconds = time.perf_counter() - t_start
+        reg.add(f"{prefix}.outer_iterations", stats.outer_iterations)
+        if tr.enabled:
+            tr.add_complete(
+                f"{prefix}.solve", t_start, stats.solve_seconds,
+                outer_iterations=stats.outer_iterations, **span_attrs,
+            )
+        if config.raise_on_divergence and not converged.all():
+            stragglers = [n for n, ok in zip(names, converged) if not ok]
+            raise ConvergenceError(
+                f"{prefix}: {int((~converged).sum())} column(s) did not "
+                f"converge in {config.max_outer} outer iterations: "
+                f"{stragglers[:5]}",
+                stats.outer_iterations,
+                float(max_f.max()),
+            )
+        grid = self.planes.stack
+        return BatchedVPResult(
+            voltages=voltages.reshape(n_tiers, grid.rows, grid.cols, n_cols),
+            converged=converged,
+            outer_iterations=outer_counts,
+            max_vdiff=max_f,
+            pillar_v0=v0,
+            pillar_currents=pillar_currents,
+            scenario_names=list(names),
+            history=history,
+            stats=stats,
+            info_v_pin=self.target,
+        )
+
+
 class BatchedVPSolver:
     """VP solver vectorized over a scenario set sharing one topology.
 
@@ -234,12 +458,10 @@ class BatchedVPSolver:
         # solve below always passes explicit per-scenario RHS batches.
         self.planes = planes
         self.pillar_flat = self.planes.pillar_flat
-        n_pillars = self.pillar_flat.size
 
         # Per-tier conductance multipliers (metal width): alpha (T, S).
         alpha = self.scenarios.plane_scale_matrix(self.n_tiers)
         self.plane_scale = alpha
-        self._has_plane_scale = bool(np.any(alpha != 1.0))
 
         # Per-scenario right-hand sides: (n_free, S) / (P, S) per tier.
         # The pad term carries the plane scaling (pads are conductances of
@@ -261,31 +483,21 @@ class BatchedVPSolver:
         # knob plus any per-segment process spread).
         self.r_seg = self.scenarios.r_seg_table(stack.pillars.r_seg)
 
-        # Per-scenario stability bound (see VoltagePropagationSolver):
-        # gain_bound[p, s] = prod_l (1 + r_seg[l, p, s] * alpha_0 G_deg(p)),
-        # mirroring the standalone solver, which reads the (scaled)
-        # degree conductance off tier 0.
+        # The lockstep loop with per-scenario damping, mirroring the
+        # standalone solver, which reads the (scaled) degree conductance
+        # off tier 0.
         degree = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
-        degree_s = degree[:, None] * alpha[0][None, :]
-        gain_bound = np.ones((n_pillars, self.n_scenarios))
-        for l in range(self.n_tiers):
-            gain_bound *= 1.0 + self.r_seg[l] * degree_s
-        self.pillar_gain_bound = gain_bound
-        peak = np.maximum(gain_bound.max(axis=0), 1.0) if n_pillars else np.ones(
-            self.n_scenarios
+        base_totals = np.array([tier.total_load() for tier in stack.tiers])
+        self._loop = LockstepVP(
+            self.config,
+            self.planes,
+            self.r_seg,
+            self.has_pin,
+            degree[:, None] * alpha[0][None, :],
+            self.v_pin,
+            tier_totals=base_totals[:, None] * load_scales,
+            plane_scale=alpha if np.any(alpha != 1.0) else None,
         )
-        self.auto_eta = np.minimum(0.5, 1.0 / peak)
-
-        # Residual voltage scale of un-pinned pillars, per scenario.
-        if not np.all(self.has_pin):
-            series = (
-                self.r_seg[:-1].sum(axis=0)
-                if self.n_tiers > 1
-                else np.zeros((n_pillars, self.n_scenarios))
-            )
-            self._r_unit = series + 1.0 / np.maximum(degree_s, 1e-12)
-        else:
-            self._r_unit = None
 
         self._setup_seconds = time.perf_counter() - t_start
 
@@ -339,53 +551,11 @@ class BatchedVPSolver:
         total = self.planes.memory_bytes
         for b_f, b_p in zip(self._b_free, self._b_pillar):
             total += b_f.nbytes + b_p.nbytes
-        total += self.r_seg.nbytes + self.pillar_gain_bound.nbytes
+        total += self.r_seg.nbytes + self._loop.pillar_gain_bound.nbytes
         # Voltage fields and pillar batch vectors.
         total += self.n_tiers * self.rows * self.cols * self.n_scenarios * 8
         total += 4 * self.pillar_flat.size * self.n_scenarios * 8
         return int(total)
-
-    def _resolve_vda_policy(self) -> VDAPolicy:
-        """Materialize the policy with per-scenario damping.
-
-        Concrete names go through the rule shared with the standalone
-        solver (:func:`repro.core.vp.resolve_vda_policy`), fed the
-        ``(S,)`` per-scenario damping vector.  ``"auto"`` on a batch
-        that mixes healthy and stiff design points splits column-wise so
-        every scenario gets the same policy its standalone solve would
-        pick (exact-parity contract)."""
-        config = self.config
-        if not isinstance(config.vda, VDAPolicy) and config.vda == "auto":
-            soft = self.auto_eta >= AUTO_ETA_THRESHOLD
-            if soft.any() and (~soft).any():
-                eta = self.auto_eta if config.eta is None else config.eta
-                return _ColumnSplitVDA(
-                    [
-                        (make_vda_policy("adaptive", eta0=eta), soft),
-                        (
-                            make_vda_policy(
-                                "anderson", m=AUTO_ANDERSON_WINDOW, eta0=eta
-                            ),
-                            ~soft,
-                        ),
-                    ]
-                )
-        return resolve_vda_policy(config.vda, config.eta, self.auto_eta)
-
-    def _initial_v0(self) -> np.ndarray:
-        """Per-scenario layer-0 seed (``(P, S)``): the pin voltage, or
-        :func:`repro.core.vp.loadshare_v0` applied with each scenario's
-        load scales and segment resistances -- column ``s`` matches what
-        a standalone solve of scenario ``s`` seeds."""
-        n_pillars = self.pillar_flat.size
-        if self.config.v0_init == "pin" or n_pillars == 0:
-            return np.full((n_pillars, self.n_scenarios), self.v_pin)
-        base_totals = np.array(
-            [tier.total_load() for tier in self.stack.tiers]
-        )
-        load_scales = self.scenarios.load_scale_matrix(self.n_tiers)
-        totals = base_totals[:, None] * load_scales  # (T, S)
-        return loadshare_v0(self.v_pin, self.r_seg, totals, n_pillars)
 
     # ------------------------------------------------------------------
     def solve(self, v0: np.ndarray | None = None) -> BatchedVPResult:
@@ -422,196 +592,12 @@ class BatchedVPSolver:
             is still above tolerance after ``config.max_outer``
             iterations.
         """
-        config = self.config
-        t_start = time.perf_counter()
-        n_pillars = self.pillar_flat.size
-        n_scen = self.n_scenarios
-        if v0 is None:
-            v0 = self._initial_v0()
-        else:
-            v0 = np.array(v0, dtype=float)
-            if v0.shape == (n_pillars,):
-                v0 = np.repeat(v0[:, None], n_scen, axis=1)
-            elif v0.shape != (n_pillars, n_scen):
-                raise GridError(
-                    f"v0 has shape {v0.shape}, expected ({n_pillars},) "
-                    f"or ({n_pillars}, {n_scen})"
-                )
-
-        policy = self._resolve_vda_policy()
-        policy.reset((n_pillars, n_scen))
-
-        n = self.rows * self.cols
-        # Uninitialized is safe: every column is stored either when its
-        # scenario retires or at loop exit (stragglers) -- and 33 MB+
-        # memsets per solve are measurable in the transient step loop.
-        voltages = np.empty((self.n_tiers, n, n_scen))
-        stats = BatchedVPStats(setup_seconds=self._setup_seconds)
-        phase = stats.phase_seconds
-        tr = obs.tracer()
-        reg = obs.metrics()
-        residual_series = obs.active_series("batch.residual")
-        history: list[BatchOuterRecord] = []
-        active = np.ones(n_scen, dtype=bool)
-        converged = np.zeros(n_scen, dtype=bool)
-        outer_counts = np.zeros(n_scen, dtype=int)
-        max_f = np.full(n_scen, np.inf)
-        residual_full = np.zeros((n_pillars, n_scen))
-        pillar_currents = np.zeros((n_pillars, n_scen))
-
-        def narrow(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            """Column subset without a copy when every scenario is live."""
-            return matrix if idx.size == n_scen else matrix[:, idx]
-
-        idx = np.flatnonzero(active)
-        fields: list[np.ndarray] = []
-        in_place = False
-        for outer in range(1, config.max_outer + 1):
-            idx = np.flatnonzero(active)
-            stats.column_solves += idx.size
-            reg.add("batch.column_solves", int(idx.size))
-            pillar_v = v0[:, idx].copy() if idx.size != n_scen else v0.copy()
-            cumulative = np.zeros((n_pillars, idx.size))
-            fields = []
-            # Full-width iterations assemble straight into the result
-            # buffer, so retirement needs no copy for them.
-            in_place = idx.size == n_scen
-
-            for l in range(self.n_tiers):
-                t0 = time.perf_counter()
-                scale = None
-                if self._has_plane_scale:
-                    alpha_l = self.plane_scale[l]
-                    scale = alpha_l if idx.size == n_scen else alpha_l[idx]
-                x_free = self.planes.solve_free(
-                    l, pillar_v, b_free=narrow(self._b_free[l], idx),
-                    scale=scale,
-                )
-                v_full = self.planes.assemble(
-                    x_free, pillar_v, out=voltages[l] if in_place else None
-                )
-                fields.append(v_full)
-                dt = time.perf_counter() - t0
-                phase["cvn"] += dt
-                if tr.enabled:
-                    tr.add_complete(
-                        "cvn", t0, dt, outer=outer, tier=l, columns=int(idx.size)
-                    )
-
-                t0 = time.perf_counter()
-                drawn = self.planes.drawn_currents(
-                    l, v_full, b_pillar=narrow(self._b_pillar[l], idx),
-                    scale=scale,
-                )
-                cumulative += drawn
-                dt = time.perf_counter() - t0
-                phase["tsv"] += dt
-                if tr.enabled:
-                    tr.add_complete(
-                        "tsv", t0, dt, outer=outer, tier=l, columns=int(idx.size)
-                    )
-
-                t0 = time.perf_counter()
-                pillar_v = pillar_v + cumulative * narrow(self.r_seg[l], idx)
-                phase["propagate"] += time.perf_counter() - t0
-
-            pillar_currents[:, idx] = cumulative
-            if self._r_unit is None:
-                residual = self.v_pin - pillar_v
-            else:
-                residual = np.where(
-                    self.has_pin[:, None],
-                    self.v_pin - pillar_v,
-                    -cumulative * narrow(self._r_unit, idx),
-                )
-            residual_full[:, idx] = residual
-            f_active = (
-                np.max(np.abs(residual), axis=0)
-                if n_pillars
-                else np.zeros(idx.size)
-            )
-            max_f[idx] = f_active
-            outer_counts[idx] = outer
-            if residual_series is not None and f_active.size:
-                residual_series.append(outer, float(f_active.max()))
-
-            # Retire freshly converged scenarios: freeze their voltage
-            # fields now (still-active columns are rewritten every
-            # iteration anyway, so they are only stored on retirement or
-            # at loop exit).
-            done = f_active <= config.outer_tol
-            if np.any(done):
-                reg.add("batch.retirements", int(done.sum()))
-                cols = idx[done]
-                if not in_place:
-                    for l in range(self.n_tiers):
-                        voltages[l][:, cols] = fields[l][:, done]
-                converged[cols] = True
-                active[cols] = False
-            stats.outer_iterations = outer
-            if config.record_history:
-                history.append(
-                    BatchOuterRecord(
-                        iteration=outer,
-                        active_scenarios=int(active.sum()),
-                        max_vdiff=max_f.copy(),
-                    )
-                )
-            if not active.any():
-                break
-
-            t0 = time.perf_counter()
-            # Full-width update, masked write-back: retired columns stay
-            # frozen while the policy's per-column state keeps indexing
-            # consistent with the batch layout.
-            v_new = policy.update(v0, residual_full, active=active)
-            live = np.flatnonzero(active)
-            v0[:, live] = v_new[:, live]
-            phase["vda"] += time.perf_counter() - t0
-
-        if active.any() and not in_place:
-            # max_outer exhausted: store the stragglers' last fields
-            # (``fields`` columns follow ``idx`` of the final iteration;
-            # full-width iterations already wrote in place).
-            live = active[idx]
-            cols = np.flatnonzero(active)
-            for l in range(self.n_tiers):
-                voltages[l][:, cols] = fields[l][:, live]
-
-        stats.solve_seconds = time.perf_counter() - t_start
-        stats.memory_bytes = self.memory_bytes
-        reg.add("batch.outer_iterations", stats.outer_iterations)
-        if tr.enabled:
-            tr.add_complete(
-                "batch.solve", t_start, stats.solve_seconds,
-                scenarios=n_scen, outer_iterations=stats.outer_iterations,
-            )
-        result = BatchedVPResult(
-            voltages=voltages.reshape(
-                self.n_tiers, self.rows, self.cols, n_scen
-            ),
-            converged=converged,
-            outer_iterations=outer_counts,
-            max_vdiff=max_f,
-            pillar_v0=v0,
-            pillar_currents=pillar_currents,
-            scenario_names=self.scenarios.names,
-            history=history,
-            stats=stats,
+        result = self._loop.run(
+            self._b_free, self._b_pillar, v0, self.scenarios.names,
+            scenarios=self.n_scenarios,
         )
-        result.info_v_pin = self.v_pin
-        if config.raise_on_divergence and not converged.all():
-            stragglers = [
-                name
-                for name, ok in zip(result.scenario_names, converged)
-                if not ok
-            ]
-            raise ConvergenceError(
-                f"{len(stragglers)} scenario(s) did not converge in "
-                f"{config.max_outer} outer iterations: {stragglers[:5]}",
-                stats.outer_iterations,
-                float(max_f.max()),
-            )
+        result.stats.setup_seconds = self._setup_seconds
+        result.stats.memory_bytes = self.memory_bytes
         return result
 
 
@@ -630,6 +616,7 @@ __all__ = [
     "BatchedVPResult",
     "BatchedVPSolver",
     "BatchedVPStats",
+    "LockstepVP",
     "Scenario",
     "solve_vp_batch",
 ]

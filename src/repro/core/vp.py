@@ -55,34 +55,67 @@ AUTO_ETA_THRESHOLD = 0.05
 AUTO_ANDERSON_WINDOW = 30
 
 
+class _ColumnSplitVDA(VDAPolicy):
+    """Different policies on disjoint scenario-column subsets.
+
+    The batched ``"auto"`` rule must mirror the standalone choice *per
+    scenario*: adaptive where the gain-bound damping is healthy,
+    Anderson where a stiff design point forces tiny damping.  Each
+    sub-policy sees the full ``(P, S)`` batch every iteration (keeping
+    its per-column state aligned with the batch layout); the split only
+    selects whose output each column uses, so column ``s`` still follows
+    exactly the sequence a standalone solve of scenario ``s`` takes.
+    """
+
+    name = "auto-split"
+
+    def __init__(self, parts: list[tuple[VDAPolicy, np.ndarray]]):
+        self.parts = parts
+
+    def reset(self, n_pillars) -> None:
+        for policy, _ in self.parts:
+            policy.reset(n_pillars)
+
+    def update(
+        self,
+        v0: np.ndarray,
+        residual: np.ndarray,
+        active: np.ndarray | None = None,
+    ) -> np.ndarray:
+        out = np.array(v0, copy=True)
+        for policy, cols in self.parts:
+            sub = cols if active is None else (cols & active)
+            v_new = policy.update(v0, residual, active=sub)
+            out[:, cols] = v_new[:, cols]
+        return out
+
+
 def resolve_vda_policy(
     vda: str | VDAPolicy, eta, auto_eta
 ) -> VDAPolicy:
-    """Materialize a VDA policy -- shared by the single-scenario and
-    batched solvers so the ``"auto"`` rule cannot drift between them.
+    """Materialize a VDA policy -- shared by every VP engine so the
+    ``"auto"`` rule cannot drift between them.
 
-    ``"auto"`` chooses the paper's adaptive rule when every (scenario's)
-    gain-bound damping is healthy, and Anderson acceleration (window 30)
-    when the stiffest pillar gain forces tiny damping.  ``auto_eta`` is
-    a scalar (one scenario) or an ``(S,)`` per-scenario array; a batch
-    mixing both regimes is handled by the batched solver, which applies
-    this same threshold per scenario column.
+    ``"auto"`` chooses the paper's adaptive rule where the gain-bound
+    damping is healthy, and Anderson acceleration (window 30) where the
+    stiffest pillar gain forces tiny damping.  ``auto_eta`` is a scalar
+    (one scenario) or an ``(S,)`` per-scenario array; a batch mixing
+    both regimes splits column-wise, so every column gets the policy
+    its standalone solve would pick (exact-parity contract).
     """
     if isinstance(vda, VDAPolicy):
         return vda
-    name = vda
     eta = auto_eta if eta is None else eta
-    kwargs: dict = {}
-    if name == "auto":
-        name = (
-            "adaptive"
-            if float(np.min(auto_eta)) >= AUTO_ETA_THRESHOLD
-            else "anderson"
-        )
-        if name == "anderson":
-            kwargs["m"] = AUTO_ANDERSON_WINDOW
-    kwargs["eta" if name == "fixed" else "eta0"] = eta
-    return make_vda_policy(name, **kwargs)
+    if vda != "auto":
+        return make_vda_policy(vda, **{"eta" if vda == "fixed" else "eta0": eta})
+    adaptive = make_vda_policy("adaptive", eta0=eta)
+    anderson = make_vda_policy("anderson", m=AUTO_ANDERSON_WINDOW, eta0=eta)
+    soft = np.asarray(auto_eta) >= AUTO_ETA_THRESHOLD
+    if soft.all():
+        return adaptive
+    if not soft.any():
+        return anderson
+    return _ColumnSplitVDA([(adaptive, soft), (anderson, ~soft)])
 
 
 def loadshare_v0(
@@ -100,11 +133,74 @@ def loadshare_v0(
     """
     seg_currents = np.cumsum(np.asarray(tier_totals, dtype=float), axis=0)
     seg_currents = seg_currents / max(n_pillars, 1)
-    if r_seg.ndim == 3:
-        drop = (r_seg * seg_currents[:, None, :]).sum(axis=0)
-    else:
-        drop = (r_seg * seg_currents[:, None]).sum(axis=0)
-    return v_pin - drop
+    return v_pin - (r_seg * seg_currents[:, None, ...]).sum(axis=0)
+
+
+def _seed_v0(v0, v0_init: str, target: float, r_seg, tier_totals):
+    """The layer-0 TSV voltage seed of every VP engine.
+
+    ``r_seg`` is ``(T, P)`` for one scenario (seed ``(P,)``) or
+    ``(T, P, S)`` for a batch (seed ``(P, S)``, where a ``(P,)`` ``v0``
+    seeds every column alike).  Without ``v0`` the ``v0_init`` rule
+    applies: ``target`` for ``"pin"``, :func:`loadshare_v0` on the
+    per-tier load ``tier_totals`` for ``"loadshare"``.
+    """
+    shape = r_seg.shape[1:]
+    n_pillars = shape[0]
+    if v0 is None:
+        if v0_init == "pin" or n_pillars == 0:
+            return np.full(shape, target)
+        return loadshare_v0(target, r_seg, tier_totals, n_pillars)
+    v0 = np.array(v0, dtype=float)
+    if v0.shape == shape:
+        return v0
+    if v0.shape == (n_pillars,):
+        return np.repeat(v0[:, None], shape[1], axis=1)
+    accepted = " or ".join(map(str, dict.fromkeys([(n_pillars,), shape])))
+    raise GridError(f"v0 has shape {v0.shape}, expected {accepted}")
+
+
+def _check_outer_loop(outer_tol, max_outer, eta, v0_init="pin", **positive):
+    """Refuse outer-loop knobs no solve can honour, naming the field: a
+    NaN, infinite or non-positive tolerance or damping (``eta`` None
+    means auto), fewer than one iteration, or an unknown seed rule."""
+    knobs = {"outer_tol": outer_tol, "eta": eta, **positive}
+    for name, value in knobs.items():
+        if value is not None and not np.all(np.isfinite(value) & (np.asarray(value) > 0)):
+            raise ReproError(f"{name} must be finite and positive, got {value!r}")
+    if max_outer < 1:
+        raise ReproError("max_outer must be >= 1")
+    if v0_init not in ("pin", "loadshare"):
+        raise ReproError(f"unknown v0_init {v0_init!r}; use 'pin' or 'loadshare'")
+
+
+def pillar_gain_setup(degree: np.ndarray, r_seg: np.ndarray, has_pin):
+    """Gain bound, auto damping and un-pinned residual scale: one rule
+    for every VP engine.
+
+    Raising ``V0(j)`` by 1 V raises the propagated source voltage by at
+    most ``prod_l (1 + r_seg[l,j] G_deg(j))`` volts, ``G_deg`` being the
+    tier-0 plane conductance at the pillar node, so ``1 / max_j bound``
+    (capped at 0.5) is a safe Richardson step for the diagonal of the
+    outer Jacobian.  An un-pinned pillar's residual is its leftover
+    current times its series resistance plus a plane-spreading estimate
+    ``1 / G_deg``.  Takes ``degree (P,)``, ``r_seg (T, P)`` or a batch
+    ``(P, S)``, ``(T, P, S)``; returns ``(gain_bound, auto_eta,
+    r_unit)``, ``r_unit`` None when every pillar is pinned.
+    """
+    gain_bound = np.ones(degree.shape)
+    for r_l in r_seg:
+        gain_bound *= 1.0 + r_l * degree
+    peak = (
+        np.maximum(gain_bound.max(axis=0), 1.0)
+        if degree.shape[0]
+        else np.ones(degree.shape[1:])
+    )
+    auto_eta = np.minimum(0.5, 1.0 / peak)
+    if np.all(has_pin):
+        return gain_bound, auto_eta, None
+    series = r_seg[:-1].sum(axis=0) if len(r_seg) > 1 else np.zeros(degree.shape)
+    return gain_bound, auto_eta, series + 1.0 / np.maximum(degree, 1e-12)
 
 
 @dataclass
@@ -148,14 +244,10 @@ class VPConfig:
             raise ReproError(
                 f"unknown inner solver {self.inner!r}; use one of {INNER_SOLVERS}"
             )
-        if self.v0_init not in ("pin", "loadshare"):
-            raise ReproError(
-                f"unknown v0_init {self.v0_init!r}; use 'pin' or 'loadshare'"
-            )
-        if self.outer_tol <= 0 or self.inner_tol <= 0:
-            raise ReproError("tolerances must be positive")
-        if self.max_outer < 1:
-            raise ReproError("max_outer must be >= 1")
+        _check_outer_loop(
+            self.outer_tol, self.max_outer, self.eta, self.v0_init,
+            inner_tol=self.inner_tol,
+        )
 
 
 @dataclass
@@ -254,28 +346,13 @@ class VoltagePropagationSolver:
         else:
             self._setup_reduced()
 
-        # Stability bound for the VDA damping: raising V0(j) by 1 V raises
-        # the propagated source voltage by at most
-        # prod_l (1 + r_seg[l,j] * G_deg(j)) volts, G_deg being the plane
-        # conductance incident at the pillar node.  1 / (that bound) is a
-        # safe Richardson step for the diagonal of the outer Jacobian.
-        degree_all = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
-        gain_bound = np.ones(self.pillar_flat.size)
-        for l in range(self.n_tiers):
-            gain_bound *= 1.0 + self.r_seg[l] * degree_all
-        self.pillar_gain_bound = gain_bound
-        self.auto_eta = float(min(0.5, 1.0 / max(gain_bound.max(), 1.0)))
-
-        # Voltage scale for the residual of un-pinned pillars: total pillar
-        # resistance plus a local plane-spreading estimate.
-        if not np.all(self.has_pin):
-            degree = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
-            series = self.r_seg[:-1].sum(axis=0) if self.n_tiers > 1 else np.zeros(
-                self.pillar_flat.shape
-            )
-            self._r_unit = series + 1.0 / np.maximum(degree, 1e-12)
-        else:
-            self._r_unit = None
+        # VDA damping and the un-pinned residual scale (see
+        # pillar_gain_setup).
+        degree = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
+        self.pillar_gain_bound, auto_eta, self._r_unit = pillar_gain_setup(
+            degree, self.r_seg, self.has_pin
+        )
+        self.auto_eta = float(auto_eta)
 
         self._setup_seconds = time.perf_counter() - t_start
 
@@ -426,16 +503,9 @@ class VoltagePropagationSolver:
         config = self.config
         t_start = time.perf_counter()
         n_pillars = self.pillar_flat.size
-        if v0 is None:
-            v0 = self._initial_v0()
-        else:
-            v0 = np.array(v0, dtype=float)
-            if v0.shape != (n_pillars,):
-                raise GridError(
-                    f"v0 has shape {v0.shape}, expected ({n_pillars},)"
-                )
-
-        policy = self._resolve_vda_policy()
+        tier_totals = np.array([tier.total_load() for tier in self.stack.tiers])
+        v0 = _seed_v0(v0, config.v0_init, self.v_pin, self.r_seg, tier_totals)
+        policy = resolve_vda_policy(config.vda, config.eta, self.auto_eta)
         policy.reset(n_pillars)
 
         voltages = np.full((self.n_tiers, self.rows, self.cols), self.v_pin)
@@ -543,24 +613,6 @@ class VoltagePropagationSolver:
                 max_f,
             )
         return result
-
-    def _initial_v0(self) -> np.ndarray:
-        """Default layer-0 TSV voltage seed per ``config.v0_init``
-        (see :func:`loadshare_v0`)."""
-        n_pillars = self.pillar_flat.size
-        if self.config.v0_init == "pin" or n_pillars == 0:
-            return np.full(n_pillars, self.v_pin)
-        tier_totals = np.array(
-            [tier.total_load() for tier in self.stack.tiers]
-        )
-        return loadshare_v0(self.v_pin, self.r_seg, tier_totals, n_pillars)
-
-    def _resolve_vda_policy(self) -> VDAPolicy:
-        """Materialize the configured VDA policy (see
-        :func:`resolve_vda_policy`)."""
-        return resolve_vda_policy(
-            self.config.vda, self.config.eta, self.auto_eta
-        )
 
     def _inner_tolerance(self, prev_max_f: float | None) -> float:
         """Inexact inner solves, gain-aware.

@@ -19,10 +19,11 @@ Sherman-Morrison-Woodbury correction per tier solve:
   the same per-column arrays the plain batched engine already uses.
 
 Column ``(c, s)`` follows exactly the iteration sequence a standalone
-``BatchedVPSolver(candidate.apply(stack), scenario_s)`` takes -- same
-seeds, same per-column gain-bound damping, same VDA policy selection,
-same retirement rule -- so the incremental result matches the direct
-re-solve to solver round-off (the ``rtol <= 1e-10`` parity contract).
+``BatchedVPSolver(candidate.apply(stack), scenario_s)`` takes -- both
+run :class:`~repro.core.batch.LockstepVP`, so seeds, per-column
+gain-bound damping, VDA policy selection and retirement are the same
+code -- and the incremental result matches the direct re-solve to
+solver round-off (the ``rtol <= 1e-10`` parity contract).
 """
 
 from __future__ import annotations
@@ -34,17 +35,10 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.core.batch import BatchedVPConfig, _ColumnSplitVDA
+from repro.core.batch import BatchedVPConfig, LockstepVP
 from repro.core.planes import ReducedPlaneSystem
-from repro.core.vda import VDAPolicy, make_vda_policy
-from repro.core.vp import (
-    AUTO_ANDERSON_WINDOW,
-    AUTO_ETA_THRESHOLD,
-    loadshare_v0,
-    resolve_vda_policy,
-)
 from repro.eco.edits import CompiledCandidate
-from repro.errors import ConvergenceError, GridError, ReproError
+from repro.errors import ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import ScenarioSet
 
@@ -58,9 +52,8 @@ _Z_CHUNK = 256
 class _UpdateBlock:
     """One candidate's rows inside a tier's concatenated update."""
 
-    cand: int
     sl: slice                 # row block inside the tier concatenation
-    cols: np.ndarray          # global column ids (all scenarios of cand)
+    cols: slice               # global columns (all scenarios of the candidate)
     lru: object               # LowRankUpdate (capacitance factors only)
 
 
@@ -233,7 +226,6 @@ class EcoBatchSolver:
         self._tier_totals = np.tile(
             base_totals[:, None] * load_scales, (1, self.n_cand)
         )
-        gain_bound = np.ones((n_pillars, self.n_cols))
         degree_cols = np.tile(
             degree0[self.pillar_flat, None], (1, self.n_cols)
         )
@@ -249,27 +241,6 @@ class EcoBatchSolver:
             if cand.loads_delta:
                 totals_c = base_totals + cand.tier_load_deltas(self.n_tiers)
                 self._tier_totals[:, sl] = totals_c[:, None] * load_scales
-
-        # Per-column stability bound, mirroring the plain batched engine
-        # (which reads the *edited* tier-0 degree off the applied stack).
-        for l in range(self.n_tiers):
-            gain_bound *= 1.0 + self.r_seg[l] * degree_cols
-        self.pillar_gain_bound = gain_bound
-        peak = (
-            np.maximum(gain_bound.max(axis=0), 1.0)
-            if n_pillars
-            else np.ones(self.n_cols)
-        )
-        self.auto_eta = np.minimum(0.5, 1.0 / peak)
-        if not np.all(self.has_pin):
-            series = (
-                self.r_seg[:-1].sum(axis=0)
-                if self.n_tiers > 1
-                else np.zeros((n_pillars, self.n_cols))
-            )
-            self._r_unit = series + 1.0 / np.maximum(degree_cols, 1e-12)
-        else:
-            self._r_unit = None
 
         # -- low-rank updates: fused Z solves, per-candidate factors ---
         # Each edited tier concatenates every candidate's update columns
@@ -316,7 +287,7 @@ class EcoBatchSolver:
                 rank=cand.rank,
                 tiers=len(cand.tier_updates),
             ):
-                cols = np.arange(c * self.n_scen, (c + 1) * self.n_scen)
+                cols = slice(c * self.n_scen, (c + 1) * self.n_scen)
                 for l in cand.tier_updates:
                     tu = self._updates[l]
                     sl = row_slices[(l, c)]
@@ -328,240 +299,138 @@ class EcoBatchSolver:
                         keep_z=False,
                     )
                     tu.blocks.append(
-                        _UpdateBlock(cand=c, sl=sl, cols=cols, lru=lru)
+                        _UpdateBlock(sl=sl, cols=cols, lru=lru)
                     )
-        self._setup_seconds = time.perf_counter() - t_start
-
-    # ------------------------------------------------------------------
-    def _resolve_vda_policy(self) -> VDAPolicy:
-        config = self.config
-        if not isinstance(config.vda, VDAPolicy) and config.vda == "auto":
-            soft = self.auto_eta >= AUTO_ETA_THRESHOLD
-            if soft.any() and (~soft).any():
-                eta = self.auto_eta if config.eta is None else config.eta
-                return _ColumnSplitVDA(
-                    [
-                        (make_vda_policy("adaptive", eta0=eta), soft),
-                        (
-                            make_vda_policy(
-                                "anderson", m=AUTO_ANDERSON_WINDOW, eta0=eta
-                            ),
-                            ~soft,
-                        ),
-                    ]
-                )
-        return resolve_vda_policy(config.vda, config.eta, self.auto_eta)
-
-    def _initial_v0(self) -> np.ndarray:
-        n_pillars = self.pillar_flat.size
-        if self.config.v0_init == "pin" or n_pillars == 0:
-            return np.full((n_pillars, self.n_cols), self.v_pin)
-        return loadshare_v0(
-            self.v_pin, self.r_seg, self._tier_totals, n_pillars
+        # The lockstep loop with per-column damping, mirroring the plain
+        # batched engine (which reads the *edited* tier-0 degree off the
+        # applied stack).
+        self._loop = _EcoLoop(
+            self.config,
+            planes,
+            self.r_seg,
+            self.has_pin,
+            degree_cols,
+            self.v_pin,
+            tier_totals=self._tier_totals,
+            telemetry="eco",
+            updates=self._updates,
         )
-
-    @staticmethod
-    def _positions(idx: np.ndarray, cols: np.ndarray):
-        """Positions of ``cols`` inside the active index vector ``idx``
-        (both sorted); None when no column is live."""
-        pos = np.searchsorted(idx, cols)
-        valid = (pos < idx.size) & (idx[np.minimum(pos, idx.size - 1)] == cols)
-        if not valid.any():
-            return None
-        return pos[valid]
+        self._setup_seconds = time.perf_counter() - t_start
 
     # ------------------------------------------------------------------
     def solve(self, v0: np.ndarray | None = None) -> EcoBatchResult:
         """Run the incremental lockstep outer iteration.
 
-        The loop structure is the plain batched engine's -- CVN solve,
-        drawn currents, propagation, VDA, early retirement -- with the
-        SMW coupling/correction passes spliced around each tier solve.
-        Zero factorizations by construction.
+        The loop is the plain batched engine's (:class:`LockstepVP`) --
+        CVN solve, drawn currents, propagation, VDA, early retirement --
+        driven with a plane step that splices the SMW coupling and
+        correction passes around each tier solve.  Zero factorizations
+        by construction.
         """
-        config = self.config
-        t_start = time.perf_counter()
-        planes = self.planes
-        n_pillars = self.pillar_flat.size
-        n_cols = self.n_cols
-        if v0 is None:
-            v0 = self._initial_v0()
-        else:
-            v0 = np.array(v0, dtype=float)
-            if v0.shape == (n_pillars,):
-                v0 = np.repeat(v0[:, None], n_cols, axis=1)
-            elif v0.shape != (n_pillars, n_cols):
-                raise GridError(
-                    f"v0 has shape {v0.shape}, expected ({n_pillars},) "
-                    f"or ({n_pillars}, {n_cols})"
-                )
-
-        policy = self._resolve_vda_policy()
-        policy.reset((n_pillars, n_cols))
-
-        n = self.rows * self.cols
-        voltages = np.empty((self.n_tiers, n, n_cols))
-        stats = EcoBatchStats(setup_seconds=self._setup_seconds)
-        tr = obs.tracer()
-        reg = obs.metrics()
-        active = np.ones(n_cols, dtype=bool)
-        converged = np.zeros(n_cols, dtype=bool)
-        outer_counts = np.zeros(n_cols, dtype=int)
-        max_f = np.full(n_cols, np.inf)
-        residual_full = np.zeros((n_pillars, n_cols))
-        pillar_currents = np.zeros((n_pillars, n_cols))
-
-        def narrow(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return matrix if idx.size == n_cols else matrix[:, idx]
-
-        idx = np.flatnonzero(active)
-        fields: list[np.ndarray] = []
-        in_place = False
-        for outer in range(1, config.max_outer + 1):
-            idx = np.flatnonzero(active)
-            stats.column_solves += idx.size
-            reg.add("eco.column_solves", int(idx.size))
-            pillar_v = v0[:, idx].copy() if idx.size != n_cols else v0.copy()
-            cumulative = np.zeros((n_pillars, idx.size))
-            fields = []
-            in_place = idx.size == n_cols
-
-            for l in range(self.n_tiers):
-                t0 = time.perf_counter()
-                b_l = narrow(self._b_free[l], idx)
-                tu = self._updates.get(l)
-                mask_idx = tu.mask[:, idx] if tu is not None else None
-                if mask_idx is not None and not mask_idx.any():
-                    mask_idx = None
-                if mask_idx is not None:
-                    ed = np.flatnonzero(mask_idx.any(axis=0))
-                    # ΔA_fp coupling: the edited tier's reduced RHS is
-                    # b_f - (A_fp + W_f D W_p^T) v_p; pre-subtract the
-                    # delta so the shared solve_free handles the rest.
-                    # The mask zeroes every (row block, column) pair
-                    # outside the block's own candidate, so one
-                    # whole-tier product covers all live updates.
-                    coup = np.where(
-                        mask_idx, tu.d[:, None] * (tu.w_p.T @ pillar_v), 0.0
-                    )
-                    b_l = np.array(b_l, copy=True)
-                    b_l[:, ed] -= tu.w_f @ coup[:, ed]
-                y = planes.solve_free(l, pillar_v, b_free=b_l)
-                if mask_idx is not None:
-                    # Woodbury correction for every edited live column,
-                    # batched into ONE extra multi-column solve.
-                    local = np.full(idx.size, -1, dtype=int)
-                    local[ed] = np.arange(ed.size)
-                    g = np.asarray(tu.w_f.T @ y)
-                    t_cap = np.zeros((tu.d.size, ed.size))
-                    for blk in tu.blocks:
-                        pos = self._positions(idx, blk.cols)
-                        if pos is None:
-                            continue
-                        t_cap[blk.sl, local[pos]] = blk.lru.capacitance_solve(
-                            np.ascontiguousarray(g[blk.sl][:, pos])
-                        )
-                    corr_rhs = np.asarray(tu.w_f @ t_cap)
-                    corr = planes.solve_free(
-                        l, np.zeros((n_pillars, ed.size)), b_free=corr_rhs
-                    )
-                    y[:, ed] -= corr
-                    stats.correction_solves += 1
-                    reg.add("eco.correction_solves")
-                v_full = planes.assemble(
-                    y, pillar_v, out=voltages[l] if in_place else None
-                )
-                fields.append(v_full)
-                drawn = planes.drawn_currents(
-                    l, v_full, b_pillar=narrow(self._b_pillar[l], idx)
-                )
-                if mask_idx is not None:
-                    # Pillar-row delta of the edited matrix:
-                    # (W D W^T v)|pillars, accumulated into the drawn
-                    # currents the propagation phase integrates.
-                    delta = np.where(
-                        mask_idx, tu.d[:, None] * (tu.w.T @ v_full), 0.0
-                    )
-                    drawn[:, ed] += tu.w_p @ delta[:, ed]
-                cumulative += drawn
-                pillar_v = pillar_v + cumulative * narrow(self.r_seg[l], idx)
-                if tr.enabled:
-                    tr.add_complete(
-                        "eco.cvn", t0, time.perf_counter() - t0,
-                        outer=outer, tier=l, columns=int(idx.size),
-                        corrected=0 if mask_idx is None else int(ed.size),
-                    )
-
-            pillar_currents[:, idx] = cumulative
-            if self._r_unit is None:
-                residual = self.v_pin - pillar_v
-            else:
-                residual = np.where(
-                    narrow(self.has_pin, idx),
-                    self.v_pin - pillar_v,
-                    -cumulative * narrow(self._r_unit, idx),
-                )
-            residual_full[:, idx] = residual
-            f_active = (
-                np.max(np.abs(residual), axis=0)
-                if n_pillars
-                else np.zeros(idx.size)
-            )
-            max_f[idx] = f_active
-            outer_counts[idx] = outer
-
-            done = f_active <= config.outer_tol
-            if np.any(done):
-                cols = idx[done]
-                if not in_place:
-                    for l in range(self.n_tiers):
-                        voltages[l][:, cols] = fields[l][:, done]
-                converged[cols] = True
-                active[cols] = False
-            stats.outer_iterations = outer
-            if not active.any():
-                break
-
-            v_new = policy.update(v0, residual_full, active=active)
-            live_cols = np.flatnonzero(active)
-            v0[:, live_cols] = v_new[:, live_cols]
-
-        if active.any() and not in_place:
-            live_mask = active[idx]
-            cols = np.flatnonzero(active)
-            for l in range(self.n_tiers):
-                voltages[l][:, cols] = fields[l][:, live_mask]
-
-        stats.solve_seconds = time.perf_counter() - t_start
-        reg.add("eco.outer_iterations", stats.outer_iterations)
-        if tr.enabled:
-            tr.add_complete(
-                "eco.solve", t_start, stats.solve_seconds,
-                candidates=self.n_cand, scenarios=self.n_scen,
-                outer_iterations=stats.outer_iterations,
-            )
-        result = EcoBatchResult(
-            voltages=voltages.reshape(
-                self.n_tiers, self.rows, self.cols, n_cols
-            ),
-            converged=converged,
-            outer_iterations=outer_counts,
-            max_vdiff=max_f,
-            pillar_v0=v0,
-            pillar_currents=pillar_currents,
+        self._loop.correction_solves = 0
+        run = self._loop.run(
+            self._b_free,
+            self._b_pillar,
+            v0,
+            [f"{c.name}/{s}" for c in self.compiled for s in self.scenarios.names],
+            candidates=self.n_cand,
+            scenarios=self.n_scen,
+        )
+        stats = EcoBatchStats(
+            setup_seconds=self._setup_seconds,
+            solve_seconds=run.stats.solve_seconds,
+            outer_iterations=run.stats.outer_iterations,
+            column_solves=run.stats.column_solves,
+            correction_solves=self._loop.correction_solves,
+        )
+        return EcoBatchResult(
+            voltages=run.voltages,
+            converged=run.converged,
+            outer_iterations=run.outer_iterations,
+            max_vdiff=run.max_vdiff,
+            pillar_v0=run.pillar_v0,
+            pillar_currents=run.pillar_currents,
             candidate_names=[c.name for c in self.compiled],
             scenario_names=self.scenarios.names,
             stats=stats,
             info_v_pin=self.v_pin,
         )
-        if config.raise_on_divergence and not converged.all():
-            raise ConvergenceError(
-                f"{int((~converged).sum())} ECO column(s) did not converge "
-                f"in {config.max_outer} outer iterations",
-                stats.outer_iterations,
-                float(max_f.max()),
+
+
+class _EcoLoop(LockstepVP):
+    """The lockstep loop on the pinned base factors plus Woodbury
+    corrections.
+
+    Columns whose candidate edits a tier get the SMW treatment on it:
+    the coupling delta is pre-subtracted from the reduced RHS, one extra
+    multi-column solve applies every edited column's correction, and
+    the edited matrix's pillar-row delta joins the drawn currents.
+    """
+
+    def __init__(self, *args, updates: dict[int, _TierUpdates], **kwargs):
+        super().__init__(*args, **kwargs)
+        self.updates = updates
+        self.correction_solves = 0
+
+    def _edited(self, l, idx):
+        """``(updates, live mask, edited live positions)`` of tier ``l``,
+        or None when no live column edits it."""
+        tu = self.updates.get(l)
+        if tu is None:
+            return None
+        mask = tu.mask[:, idx]
+        if not mask.any():
+            return None
+        return tu, mask, np.flatnonzero(mask.any(axis=0))
+
+    def cvn(self, l, idx, pillar_v, b_free, scale, out):
+        edited = self._edited(l, idx)
+        if edited is None:
+            return super().cvn(l, idx, pillar_v, b_free, scale, out)
+        tu, mask, ed = edited
+        # ΔA_fp coupling: the edited tier's reduced RHS is
+        # b_f - (A_fp + W_f D W_p^T) v_p; pre-subtract the delta so the
+        # shared solve_free handles the rest.  The mask zeroes every
+        # (row block, column) pair outside the block's own candidate, so
+        # one whole-tier product covers all live updates.
+        coup = np.where(mask, tu.d[:, None] * (tu.w_p.T @ pillar_v), 0.0)
+        b_l = np.array(b_free, copy=True)
+        b_l[:, ed] -= tu.w_f @ coup[:, ed]
+        y = self.planes.solve_free(l, pillar_v, b_free=b_l)
+        # Woodbury correction for every edited live column, batched into
+        # ONE extra multi-column solve.
+        local = np.full(idx.size, -1, dtype=int)
+        local[ed] = np.arange(ed.size)
+        g = np.asarray(tu.w_f.T @ y)
+        t_cap = np.zeros((tu.d.size, ed.size))
+        for blk in tu.blocks:
+            # Positions of the block's candidate among the live columns.
+            pos = np.flatnonzero((idx >= blk.cols.start) & (idx < blk.cols.stop))
+            if not pos.size:
+                continue
+            t_cap[blk.sl, local[pos]] = blk.lru.capacitance_solve(
+                np.ascontiguousarray(g[blk.sl][:, pos])
             )
-        return result
+        corr_rhs = np.asarray(tu.w_f @ t_cap)
+        corr = self.planes.solve_free(
+            l, np.zeros((pillar_v.shape[0], ed.size)), b_free=corr_rhs
+        )
+        y[:, ed] -= corr
+        self.correction_solves += 1
+        obs.add("eco.correction_solves")
+        return self.planes.assemble(y, pillar_v, out=out)
+
+    def drawn(self, l, idx, v_full, b_pillar, scale):
+        drawn = super().drawn(l, idx, v_full, b_pillar, scale)
+        edited = self._edited(l, idx)
+        if edited is not None:
+            # Pillar-row delta of the edited matrix: (W D W^T v)|pillars,
+            # accumulated into the drawn currents the propagation phase
+            # integrates.
+            tu, mask, ed = edited
+            delta = np.where(mask, tu.d[:, None] * (tu.w.T @ v_full), 0.0)
+            drawn[:, ed] += tu.w_p @ delta[:, ed]
+        return drawn
 
 
 __all__ = ["EcoBatchResult", "EcoBatchSolver", "EcoBatchStats"]

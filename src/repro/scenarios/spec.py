@@ -204,14 +204,24 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ReproError("scenario needs a non-empty name")
-        scales = np.atleast_1d(np.asarray(self.load_scale, dtype=float))
-        if np.any(scales < 0):
-            raise ReproError(f"scenario {self.name!r}: load_scale must be >= 0")
-        if self.r_tsv_scale <= 0:
-            raise ReproError(f"scenario {self.name!r}: r_tsv_scale must be > 0")
-        planes = np.atleast_1d(np.asarray(self.plane_scale, dtype=float))
-        if np.any(planes <= 0):
-            raise ReproError(f"scenario {self.name!r}: plane_scale must be > 0")
+        # Every scale must be finite (NaN passes a plain < 0 test); only
+        # loads may be switched off entirely.
+        for knob, value, floor in (
+            ("load_scale", self.load_scale, ">= 0"),
+            ("r_tsv_scale", self.r_tsv_scale, "> 0"),
+            ("plane_scale", self.plane_scale, "> 0"),
+            ("r_seg_scale", self.r_seg_scale, "> 0"),
+            ("cap_scale", self.cap_scale, "> 0"),
+        ):
+            if value is None:
+                continue
+            values = np.asarray(value, dtype=float)
+            in_range = values >= 0 if floor == ">= 0" else values > 0
+            if not np.all(np.isfinite(values) & in_range):
+                raise ReproError(
+                    f"scenario {self.name!r}: {knob} must be finite and "
+                    f"{floor}"
+                )
         if self.r_seg_scale is not None:
             table = np.asarray(self.r_seg_scale, dtype=float)
             if table.ndim != 2:
@@ -219,14 +229,7 @@ class Scenario:
                     f"scenario {self.name!r}: r_seg_scale must be (T, P), "
                     f"got shape {table.shape}"
                 )
-            if np.any(table <= 0):
-                raise ReproError(
-                    f"scenario {self.name!r}: r_seg_scale must be > 0"
-                )
             object.__setattr__(self, "r_seg_scale", table)
-        caps = np.atleast_1d(np.asarray(self.cap_scale, dtype=float))
-        if np.any(caps <= 0):
-            raise ReproError(f"scenario {self.name!r}: cap_scale must be > 0")
         if self.stimulus is not None and not isinstance(
             self.stimulus, StimulusSpec
         ):
@@ -436,20 +439,6 @@ class ScenarioSet(Sequence):
         per-segment process spread."""
         return np.stack(
             [r_seg * s.r_seg_factors(r_seg) for s in self.scenarios], axis=2
-        )
-
-    def cap_scale_matrix(self, n_tiers: int) -> np.ndarray:
-        """``(T, S)`` per-tier decap multipliers, one column per scenario
-        (all ones for sweeps that never touch decap)."""
-        return np.column_stack(
-            [s.tier_cap_scales(n_tiers) for s in self.scenarios]
-        )
-
-    def activity_vector(self, t: float) -> np.ndarray:
-        """``(S,)`` stimulus activity multipliers at time ``t`` (1 for
-        scenarios without a stimulus)."""
-        return np.array(
-            [s.activity_at(t) for s in self.scenarios], dtype=float
         )
 
     def describe(self) -> list[dict]:

@@ -12,10 +12,10 @@ solve prices every wire width, TSV size, pad, and load current at once,
 where finite differences would pay two full solves per parameter.
 
 The adjoint system is the same grid driven by different injections with
-the pin rail grounded, so :class:`AdjointVPSolver` runs the VP outer
-iteration *in reverse*: per tier it back-substitutes the metric
-injections on the **transposed** cached plane factors
-(:meth:`~repro.core.planes.ReducedPlaneSystem.solve_free_transpose`),
+the pin rail grounded, so :class:`AdjointVPSolver` runs the forward
+engine's VP outer iteration (:class:`~repro.core.batch.LockstepVP`)
+*in reverse*: per tier it back-substitutes the metric injections on the
+**transposed** cached plane factors (``solve_free(..., trans="T")``),
 accumulates adjoint pillar currents, propagates them up the TSV
 segments, and drives the propagated adjoint pin values to zero with the
 ordinary VDA policies.  No new factorization is ever performed -- the
@@ -37,10 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
-from repro.core.batch import BatchedVPConfig, BatchedVPSolver
+from repro.core.batch import BatchedVPConfig, BatchedVPSolver, LockstepVP
 from repro.core.planes import PlaneFactorCache, ReducedPlaneSystem
-from repro.core.vp import VPResult, resolve_vda_policy
+from repro.core.vp import VPResult, _check_outer_loop
 from repro.errors import ConvergenceError, GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario
@@ -242,10 +241,7 @@ class AdjointConfig:
     raise_on_divergence: bool = False
 
     def __post_init__(self) -> None:
-        if self.outer_tol <= 0:
-            raise ReproError("outer_tol must be positive")
-        if self.max_outer < 1:
-            raise ReproError("max_outer must be >= 1")
+        _check_outer_loop(self.outer_tol, self.max_outer, self.eta)
 
 
 @dataclass
@@ -266,12 +262,12 @@ class AdjointVPSolver:
     """VP iteration in reverse: solve ``G^T lam = g`` on cached factors.
 
     The adjoint grid is the forward grid with the pin rail grounded and
-    the metric gradient injected as node currents, so the solver mirrors
-    the forward outer loop -- CVN, TSV accumulation, propagation, VDA --
-    with two differences: the intra-plane phase back-substitutes on the
-    *transposed* plane factors
-    (:meth:`~repro.core.planes.ReducedPlaneSystem.solve_free_transpose`),
-    and the propagated pin values are driven to zero.
+    the metric gradient injected as node currents, so the solver runs
+    the forward engine's outer loop (:class:`~repro.core.batch.LockstepVP`:
+    CVN, TSV accumulation, propagation, VDA) on one column with two
+    differences: the intra-plane phase back-substitutes on the
+    *transposed* plane factors (``trans="T"``), and the propagated pin
+    values are driven to zero.
 
     ``plane_scale`` (per-tier ``alpha``) and ``r_seg`` overrides let a
     *design point* (metal-width/TSV multipliers, operating corners)
@@ -301,7 +297,6 @@ class AdjointVPSolver:
             )
         self.planes = planes
         self.pillar_flat = planes.pillar_flat
-        self.has_pin = stack.pillars.has_pin
 
         alpha = (
             np.ones(self.n_tiers)
@@ -316,7 +311,6 @@ class AdjointVPSolver:
         if np.any(alpha <= 0):
             raise GridError("plane_scale factors must be positive")
         self.plane_scale = alpha
-        self._has_scale = bool(np.any(alpha != 1.0))
 
         r_table = stack.pillars.r_seg if r_seg is None else np.asarray(r_seg)
         if r_table.shape != stack.pillars.r_seg.shape:
@@ -326,104 +320,47 @@ class AdjointVPSolver:
             )
         self.r_seg = r_table
 
-        # Stability bound / damping: identical physics to the forward
-        # solver (the adjoint operator is the transpose of the same G).
-        n_pillars = self.pillar_flat.size
+        # The forward engine's lockstep loop at S=1 on the transposed
+        # factors, with zero seed and the grounded pin rail as target.  G
+        # is a symmetric Laplacian, so G^T has the same pillar rows (the
+        # forward drawn-current kernel applies) and the same gain bound.
         degree = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
-        degree = degree * alpha[0]
-        gain_bound = np.ones(n_pillars)
-        for l in range(self.n_tiers):
-            gain_bound *= 1.0 + self.r_seg[l] * degree
-        self.pillar_gain_bound = gain_bound
-        peak = max(gain_bound.max(), 1.0) if n_pillars else 1.0
-        self.auto_eta = float(min(0.5, 1.0 / peak))
-
-        if not np.all(self.has_pin):
-            series = (
-                self.r_seg[:-1].sum(axis=0)
-                if self.n_tiers > 1
-                else np.zeros(n_pillars)
-            )
-            self._r_unit = series + 1.0 / np.maximum(degree, 1e-12)
-        else:
-            self._r_unit = None
+        config = self.config
+        self._loop = LockstepVP(
+            BatchedVPConfig(
+                outer_tol=config.outer_tol,
+                max_outer=config.max_outer,
+                vda=config.vda,
+                eta=config.eta,
+                record_history=False,
+                raise_on_divergence=config.raise_on_divergence,
+            ),
+            planes,
+            self.r_seg[:, :, None],
+            stack.pillars.has_pin,
+            degree[:, None] * alpha[0],
+            0.0,
+            plane_scale=alpha[:, None] if np.any(alpha != 1.0) else None,
+            trans="T",
+            telemetry="adjoint",
+        )
 
     # ------------------------------------------------------------------
     def solve(self, injection: np.ndarray) -> AdjointResult:
         """Solve ``G^T lam = injection`` (``injection`` is ``df/dv`` as a
         ``(T, R, C)`` or ``(T, n)`` array)."""
-        config = self.config
-        n = self.rows * self.cols
-        inj = np.asarray(injection, dtype=float).reshape(self.n_tiers, n)
-        b_free = [inj[l][self.planes.free] for l in range(self.n_tiers)]
-        b_pillar = [inj[l][self.pillar_flat] for l in range(self.n_tiers)]
-
-        n_pillars = self.pillar_flat.size
-        lam0 = np.zeros(n_pillars)
-        policy = resolve_vda_policy(config.vda, config.eta, self.auto_eta)
-        policy.reset(n_pillars)
-
-        fields = np.zeros((self.n_tiers, n))
-        converged = False
-        max_f = np.inf
-        outer = 0
-        tr = obs.tracer()
-        residual_series = obs.active_series("adjoint.residual")
-        t_start = time.perf_counter()
-        for outer in range(1, config.max_outer + 1):
-            pillar_lam = lam0.copy()
-            cumulative = np.zeros(n_pillars)
-            for l in range(self.n_tiers):
-                scale = self.plane_scale[l] if self._has_scale else None
-                x = self.planes.solve_free_transpose(
-                    l, pillar_lam, b_free=b_free[l], scale=scale
-                )
-                fields[l] = self.planes.assemble(x, pillar_lam)
-                # Pillar rows of G^T == pillar rows of G (symmetric
-                # Laplacian), so the forward drawn-current kernel applies.
-                drawn = self.planes.drawn_currents(
-                    l, fields[l], b_pillar=b_pillar[l], scale=scale
-                )
-                cumulative += drawn
-                pillar_lam = pillar_lam + cumulative * self.r_seg[l]
-
-            # The adjoint pin rail is grounded: drive the propagated
-            # adjoint pin values to zero (leftover current at un-pinned
-            # pillars, as in the forward residual).
-            if self._r_unit is None:
-                residual = -pillar_lam
-            else:
-                residual = np.where(
-                    self.has_pin, -pillar_lam, -cumulative * self._r_unit
-                )
-            max_f = float(np.max(np.abs(residual))) if n_pillars else 0.0
-            if residual_series is not None:
-                residual_series.append(outer, max_f)
-            if max_f <= config.outer_tol:
-                converged = True
-                break
-            lam0 = policy.update(lam0, residual)
-
-        obs.add("adjoint.outer_iterations", outer)
-        if tr.enabled:
-            tr.add_complete(
-                "adjoint.solve", t_start, time.perf_counter() - t_start,
-                outer_iterations=outer, converged=converged,
-            )
-        result = AdjointResult(
-            lam=fields.reshape(self.n_tiers, self.rows, self.cols),
-            converged=converged,
-            outer_iterations=outer,
-            max_vdiff=max_f,
+        inj = np.asarray(injection, dtype=float).reshape(self.n_tiers, -1, 1)
+        run = self._loop.run(
+            [inj[l][self.planes.free] for l in range(self.n_tiers)],
+            [inj[l][self.pillar_flat] for l in range(self.n_tiers)],
+            names=["adjoint"],
         )
-        if config.raise_on_divergence and not converged:
-            raise ConvergenceError(
-                f"adjoint VP did not converge in {config.max_outer} outer "
-                f"iterations (max residual {max_f:.3e})",
-                outer,
-                max_f,
-            )
-        return result
+        return AdjointResult(
+            lam=run.voltages[..., 0],
+            converged=bool(run.converged[0]),
+            outer_iterations=int(run.outer_iterations[0]),
+            max_vdiff=float(run.max_vdiff[0]),
+        )
 
 
 # ----------------------------------------------------------------------

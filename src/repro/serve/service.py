@@ -123,32 +123,48 @@ class ServiceConfig:
             raise ReproError("flight_capacity must be >= 1")
 
 
-def _scenario_from_params(spec: dict) -> Scenario:
-    """Build a :class:`Scenario` from one request dict."""
+def _scenario_from_params(spec: dict, *, strict: bool = True) -> Scenario:
+    """Build a :class:`Scenario` from one request dict; a bad value is
+    refused with an error naming its field.  ``strict=False`` skips
+    unknown fields (the submit-time value check leaves a malformed spec
+    to fail as a job)."""
     if not isinstance(spec, dict):
         raise ReproError(f"scenario spec must be an object, got {spec!r}")
     known = {"name", "load_scale", "r_tsv_scale", "plane_scale"}
     unknown = set(spec) - known
-    if unknown:
+    if unknown and strict:
         raise ReproError(
             f"unknown scenario fields {sorted(unknown)}; expected a subset "
             f"of {sorted(known)}"
         )
-    kwargs = dict(spec)
-    for key in ("load_scale", "plane_scale"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
+    kwargs = {"name": spec.get("name")}
+    for key in ("load_scale", "r_tsv_scale", "plane_scale"):
+        if key in spec:
+            value = spec[key]
+            kwargs[key] = (
+                tuple(_number({key: v}, key, None, float) for v in value)
+                if isinstance(value, list)
+                else _number(spec, key, None, float)
+            )
     return Scenario(**kwargs)
 
 
 def _sweep_config(params: dict) -> BatchedVPConfig:
     return BatchedVPConfig(
-        outer_tol=float(params.get("outer_tol", 1e-4)),
-        max_outer=int(params.get("max_outer", 200)),
+        outer_tol=_number(params, "outer_tol", 1e-4, float),
+        max_outer=_number(params, "max_outer", 200, int),
         vda=str(params.get("vda", "auto")),
-        eta=None if params.get("eta") is None else float(params["eta"]),
+        eta=None if params.get("eta") is None else _number(params, "eta", None, float),
         v0_init=str(params.get("v0_init", "pin")),
     )
+
+
+def _sweep_scenarios(params: dict, *, strict: bool = True) -> list[Scenario]:
+    """The scenarios of a sweep job (one nominal when none are given)."""
+    specs = params.get("scenarios") or [{"name": "nominal"}]
+    if not isinstance(specs, list):
+        raise ReproError(f"scenarios must be a list, got {specs!r}")
+    return [_scenario_from_params(s, strict=strict) for s in specs]
 
 
 def _sweep_coalesce_key(grid: str, params: dict) -> tuple:
@@ -325,7 +341,10 @@ class GridAnalysisService:
                     f"samples must be between 1 and {MAX_MC_SAMPLES}, "
                     f"got {samples}"
                 )
-        key = _sweep_coalesce_key(grid, params) if kind == "sweep" else None
+        key = None
+        if kind == "sweep":
+            _sweep_scenarios(params, strict=False)  # refuse bad scales here
+            key = _sweep_coalesce_key(grid, params)
         if timeout is None:
             timeout = self.config.default_timeout
         return self.queue.submit(
@@ -493,8 +512,7 @@ class GridAnalysisService:
         merged: list[Scenario] = []
         slices: list[tuple[Job, int, int]] = []
         for job in batch:
-            specs = job.params.get("scenarios") or [{"name": "nominal"}]
-            scenarios = [_scenario_from_params(s) for s in specs]
+            scenarios = _sweep_scenarios(job.params)
             start = len(merged)
             merged.extend(
                 replace(s, name=f"{job.id}/{s.name}") for s in scenarios

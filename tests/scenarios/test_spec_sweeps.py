@@ -381,3 +381,30 @@ class TestCombineTransientKnobs:
         )
         with pytest.raises(GridError):
             Scenario("y", cap_scale=(1.0, 2.0)).tier_cap_scales(3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field, shape",
+    [
+        ("load_scale", None),
+        ("load_scale", 3),
+        ("r_tsv_scale", None),
+        ("plane_scale", None),
+        ("plane_scale", 3),
+        ("r_seg_scale", (3, 4)),
+        ("cap_scale", None),
+        ("cap_scale", 3),
+    ],
+)
+def test_non_finite_scales_are_refused(field, shape, bad):
+    """NaN passes a plain ``< 0`` / ``<= 0`` check; every scale must be
+    finite, scalar or per tier, and the error names the field."""
+    if shape is None:
+        value = bad
+    else:
+        value = np.ones(shape)
+        value.flat[-1] = bad
+        value = value if field == "r_seg_scale" else tuple(value)
+    with pytest.raises(ReproError, match=field):
+        Scenario("bad", **{field: value})

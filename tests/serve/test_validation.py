@@ -67,3 +67,30 @@ def test_bad_mc_sample_count_is_refused(served, samples):
     assert "varies nothing" not in body["error"]
     with pytest.raises(ReproError, match="samples"):
         service.submit("mc", "ok", params)
+
+
+@pytest.mark.parametrize(
+    "field, params",
+    [
+        ("outer_tol", {"outer_tol": math.inf}),
+        ("outer_tol", {"outer_tol": math.nan}),
+        ("eta", {"eta": math.nan}),
+        ("load_scale", {"scenarios": [{"name": "a", "load_scale": math.nan}]}),
+        ("r_tsv_scale", {"scenarios": [{"name": "a", "r_tsv_scale": math.inf}]}),
+        ("plane_scale", {"scenarios": [{"name": "a", "plane_scale": [1.0, math.nan]}]}),
+    ],
+)
+def test_bad_sweep_field_is_refused(served, field, params):
+    """A sweep whose tolerance, damping or scenario scale no solve can
+    honour answers 400 naming the field instead of running: an infinite
+    tolerance would report a wrong drop as converged, a NaN one would
+    spend every iteration, a NaN scale would fail in the worker."""
+    service, client = served
+    client.call("POST", "/grids", {"name": "ok", "spec": SMALL})
+    status, body = client.call(
+        "POST", "/jobs", {"kind": "sweep", "grid": "ok", "params": params}
+    )
+    assert status == 400
+    assert field in body["error"]
+    with pytest.raises(ReproError, match=field):
+        service.submit("sweep", "ok", params)
