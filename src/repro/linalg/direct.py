@@ -184,25 +184,69 @@ class DirectSolver:
     sides cheap and lets callers account for factor fill-in (the memory
     story behind the paper's SPICE out-of-memory column).  One factor may
     be solved from several threads at once.
+
+    ``m`` is the size of a leading block ``A_EE`` that is diagonal
+    (:class:`repro.core.planes.ReducedPlaneSystem` orders its
+    between-pillar nodes there).  With ``m > 0`` that block is
+    eliminated exactly before LU: only the Schur complement
+    ``S = A_CC - A_CE D^-1 A_EC`` is factored, and a solve wraps the
+    back-substitution on ``S`` in two diagonal scalings and two sparse
+    products.  ``m = 0`` factors the whole matrix.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
-        csc = sp.csc_matrix(matrix)
-        if csc.shape[0] != csc.shape[1]:
+    def __init__(self, matrix: sp.spmatrix, *, m: int = 0):
+        # The elimination slices rows, which CSR does cheaply; SuperLU
+        # takes CSC.
+        a = sp.csr_matrix(matrix) if m else sp.csc_matrix(matrix)
+        if a.shape[0] != a.shape[1]:
             raise SingularSystemError(
-                f"matrix must be square, got {csc.shape}"
+                f"matrix must be square, got {a.shape}"
             )
+        if not 0 <= m <= a.shape[0]:
+            raise ValueError(f"m must lie in [0, {a.shape[0]}], got {m}")
+        self.n = a.shape[0]
+        self.matrix_nnz = int(a.nnz)
+        self._m = m
+        if m:
+            a = self._eliminate(a)
         self._ordering = (
             SYMMETRIC_ORDERING
-            if np.all(csc.diagonal() != 0)
+            if np.all(a.diagonal() != 0)
             else PIVOTING_ORDERING
         )
         try:
-            self._lu = spla.splu(csc, permc_spec=self._ordering)
+            self._lu = spla.splu(a, permc_spec=self._ordering)
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularSystemError(f"LU factorization failed: {exc}") from exc
-        self.n = csc.shape[0]
-        self.matrix_nnz = int(csc.nnz)
+
+    def _eliminate(self, csr: sp.csr_matrix) -> sp.csc_matrix:
+        """Keep ``D^-1``, ``A_EC`` and ``A_CE`` (a view of ``A_EC^T``
+        when the two agree); return the Schur complement ``S`` on the
+        remaining ``n - m`` unknowns."""
+        m = self._m
+        d = csr.diagonal()[:m]
+        rows_e, rows_c = csr[:m], csr[m:]
+        if np.any(d == 0) or (rows_e[:, :m] - sp.diags(d)).count_nonzero():
+            raise SingularSystemError(
+                f"the leading {m} x {m} block is not an invertible diagonal"
+            )
+        self._dinv = 1.0 / d
+        self._a_ec = rows_e[:, m:]
+        a_ce = rows_c[:, :m]
+        # A symmetric matrix (every grid plane) keeps one coupling block.
+        self._a_ce = self._a_ec.T
+        self._coupling = [self._a_ec]
+        if (a_ce != self._a_ce).nnz:
+            self._a_ce = a_ce
+            self._coupling.append(a_ce)
+            a_ce = a_ce.copy()
+        a_ce.data *= self._dinv[a_ce.indices]  # A_CE D^-1: scale columns
+        return sp.csc_matrix(rows_c[:, m:] - a_ce @ self._a_ec)
+
+    @property
+    def eliminated(self) -> int:
+        """Unknowns eliminated before LU (the diagonal block size ``m``)."""
+        return self._m
 
     @property
     def ordering(self) -> str:
@@ -211,15 +255,26 @@ class DirectSolver:
 
     @property
     def factor_nnz(self) -> int:
-        """Non-zeros in the L and U factors (fill-in included)."""
-        return int(self._lu.nnz)
+        """Non-zeros held to solve: the L and U factors (fill-in
+        included) plus, after elimination, ``D`` and the coupling blocks
+        (``A_EC`` alone when ``A_CE = A_EC^T``)."""
+        nnz = int(self._lu.nnz)
+        if self._m:
+            nnz += sum(a.nnz for a in self._coupling) + self._m
+        return nnz
 
     @property
     def memory_bytes(self) -> int:
         """Approximate bytes held by the factors (values + indices)."""
         # Each stored factor entry carries an 8-byte value and roughly a
-        # 4-byte index; permutation vectors add 2 * 4 * n.
-        return int(self._lu.nnz * 12 + 8 * self.n)
+        # 4-byte index; permutation vectors add 2 * 4 per factored row.
+        total = self._lu.nnz * 12 + 8 * (self.n - self._m)
+        if self._m:
+            total += self._dinv.nbytes + sum(
+                a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+                for a in self._coupling
+            )
+        return int(total)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """Back-substitute one or many right-hand sides.
@@ -253,11 +308,43 @@ class DirectSolver:
         if blocks > 1:
             x = self._split_solve(b, trans, blocks)
         else:
-            x = self._lu.solve(b, trans=trans)
+            x = self._solve_block(b, trans)
         if not np.all(np.isfinite(x)):
             raise SingularSystemError(
                 "direct solve produced non-finite values (singular system?)"
             )
+        return x
+
+    def _solve_block(self, b: np.ndarray, trans: str) -> np.ndarray:
+        """One unsplit solve of ``b`` (``(n,)`` or ``(n, k)``).
+
+        After elimination: ``y_E = D^-1 b_E``, then
+        ``x_C = S^-1 (b_C - A_CE y_E)``, then
+        ``x_E = y_E - D^-1 A_EC x_C`` (transposed blocks for ``"T"``).
+        The sparse products run one column at a time: every column is
+        then computed alike whatever the block width, and each product
+        reads and writes contiguous Fortran-order columns.
+        """
+        m = self._m
+        if not m:
+            return self._lu.solve(b, trans=trans)
+        if trans == "N":
+            a_ce, a_ec = self._a_ce, self._a_ec
+        else:
+            a_ce, a_ec = self._a_ec.T, self._a_ce.T
+        dinv = self._dinv
+        if b.ndim == 1:
+            y = b[:m] * dinv
+            x_c = self._lu.solve(b[m:] - a_ce @ y, trans=trans)
+            return np.concatenate([y - dinv * (a_ec @ x_c), x_c])
+        x = np.empty(b.shape, order="F")
+        y, x_c = x[:m], x[m:]
+        for j in range(b.shape[1]):
+            np.multiply(b[:m, j], dinv, out=y[:, j])
+            np.subtract(b[m:, j], a_ce @ y[:, j], out=x_c[:, j])
+        x_c[:] = self._lu.solve(x_c, trans=trans)
+        for j in range(b.shape[1]):
+            y[:, j] -= dinv * (a_ec @ x_c[:, j])
         return x
 
     def _split_solve(self, b: np.ndarray, trans: str, blocks: int) -> np.ndarray:
@@ -265,7 +352,7 @@ class DirectSolver:
         x = np.empty(b.shape, order="F")  # SuperLU's own output layout
 
         def solve_block(lo: int, hi: int) -> None:
-            x[:, lo:hi] = self._lu.solve(b[:, lo:hi], trans=trans)
+            x[:, lo:hi] = self._solve_block(b[:, lo:hi], trans)
 
         run_lanes(
             [partial(solve_block, lo, hi) for lo, hi in lane_edges(b.shape[1], blocks)]

@@ -401,6 +401,8 @@ class GradientResult:
     values: np.ndarray
     forward_outer_iterations: int
     adjoint_outer_iterations: int
+    #: Always True: :func:`adjoint_gradient` raises on an unconverged
+    #: adjoint rather than return a gradient from it.
     adjoint_converged: bool
     adjoint_max_vdiff: float
     #: LU factorizations the whole gradient pass added to the cache.
@@ -478,6 +480,12 @@ def adjoint_gradient(
         A converged :class:`~repro.core.vp.VPResult` for the *base*
         design point (skips the forward solve; only honoured when
         ``values``/``scenario`` leave the base stack unchanged).
+
+    Raises
+    ------
+    ConvergenceError
+        The forward or the adjoint solve did not converge within
+        ``config.max_outer`` outer iterations.
     """
     config = config or SensitivityConfig()
     t_start = time.perf_counter()
@@ -532,6 +540,15 @@ def adjoint_gradient(
         r_seg=rhs_stack.pillars.r_seg,
         config=config.adjoint_config(),
     ).solve(injection)
+    if not adjoint.converged:
+        raise ConvergenceError(
+            f"adjoint solve did not converge in {adjoint.outer_iterations} "
+            f"outer iterations (residual {adjoint.max_vdiff:.3g} V, "
+            f"adjoint_tol {config.adjoint_tol:g}, "
+            f"max_outer={config.max_outer}); raise max_outer",
+            adjoint.outer_iterations,
+            adjoint.max_vdiff,
+        )
 
     gradient = params.gradient(
         rhs_stack,

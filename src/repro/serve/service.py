@@ -47,6 +47,7 @@ dump a flight-recorder Chrome trace when ``flight_dump_dir`` is set.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +83,80 @@ def _number(params: dict, name: str, default, cast):
         return cast(raw)
     except (TypeError, ValueError, OverflowError):
         raise ReproError(f"{name} must be a number, got {raw!r}") from None
+
+
+def _checked(params: dict, name: str, default, cast, ok, expect: str):
+    """:func:`_number` plus a range check: a non-finite value, or one
+    ``ok`` rejects, is refused with an error naming the field."""
+    value = _number(params, name, default, cast)
+    if not (math.isfinite(value) and ok(value)):
+        raise ReproError(f"{name} must be {expect}, got {value!r}")
+    return value
+
+
+def _at_least_one(params: dict, name: str, default: int) -> int:
+    return _checked(params, name, default, int, lambda v: v >= 1, ">= 1")
+
+
+#: ``mc`` sigmas and correlation length (a 0 sigma switches its
+#: variation off).
+_MC_NON_NEGATIVE = ("sigma_wire", "sigma_pad", "sigma_width", "sigma_tsv", "corr_length")
+
+
+def _mc_params(params: dict) -> dict:
+    """The validated knobs of an ``mc`` job."""
+    out = {
+        name: _checked(
+            params, name, 0.0, float, lambda v: v >= 0, "finite and >= 0"
+        )
+        for name in _MC_NON_NEGATIVE
+    }
+    out["samples"] = samples = _number(params, "samples", 16, int)
+    if not 1 <= samples <= MAX_MC_SAMPLES:
+        raise ReproError(
+            f"samples must be between 1 and {MAX_MC_SAMPLES}, got {samples}"
+        )
+    if "quantiles" in params:
+        raw = params["quantiles"]
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ReproError(f"quantiles must be a non-empty list, got {raw!r}")
+        out["quantiles"] = tuple(
+            _checked(
+                {"quantiles": q}, "quantiles", None, float,
+                lambda v: 0 < v < 1, "in (0, 1)",
+            )
+            for q in raw
+        )
+    return out
+
+
+def _sensitivity_params(params: dict, stack) -> dict:
+    """The validated knobs of a ``sensitivity`` job on ``stack``."""
+    out = {"top": _at_least_one(params, "top", 10)}
+    if "beta" in params:
+        out["beta"] = _checked(
+            params, "beta", None, float, lambda v: v > 0, "finite and > 0"
+        )
+    if "node" in params:
+        raw = params["node"]
+        shape = (stack.n_tiers, stack.rows, stack.cols)
+        if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+            raise ReproError(f"node must be [tier, row, col], got {raw!r}")
+        node = tuple(_number({"node": v}, "node", None, int) for v in raw)
+        if not all(0 <= v < size for v, size in zip(node, shape)):
+            raise ReproError(
+                f"node {list(node)} lies outside the {shape} grid"
+            )
+        out["node"] = node
+    return out
+
+
+def _eco_params(params: dict) -> dict:
+    """The validated knobs of an ``eco`` job."""
+    return {
+        "candidates": _at_least_one(params, "candidates", 8),
+        "top": _at_least_one(params, "top", 10),
+    }
 
 
 class UnknownGridError(ReproError):
@@ -332,15 +407,15 @@ class GridAnalysisService:
             raise ReproError(
                 f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
             )
-        self._stack(grid)  # validate the reference at submit time
+        stack = self._stack(grid)  # validate the reference at submit time
         params = dict(params or {})
+        # Refuse bad values here (a 400 naming the field), not in a worker.
         if kind == "mc":
-            samples = _number(params, "samples", 16, int)
-            if not 1 <= samples <= MAX_MC_SAMPLES:
-                raise ReproError(
-                    f"samples must be between 1 and {MAX_MC_SAMPLES}, "
-                    f"got {samples}"
-                )
+            _mc_params(params)
+        elif kind == "sensitivity":
+            _sensitivity_params(params, stack)
+        elif kind == "eco":
+            _eco_params(params)
         key = None
         if kind == "sweep":
             _sweep_scenarios(params, strict=False)  # refuse bad scales here
@@ -587,25 +662,22 @@ class GridAnalysisService:
         )
 
         p = job.params
+        q = _mc_params(p)
         wire = (
             WireFieldVariation(
-                sigma=float(p.get("sigma_wire", 0.0)),
-                sigma_pad=float(p.get("sigma_pad", 0.0)),
-                corr_length=float(p.get("corr_length", 0.0)),
+                sigma=q["sigma_wire"],
+                sigma_pad=q["sigma_pad"],
+                corr_length=q["corr_length"],
             )
-            if (p.get("sigma_wire") or p.get("sigma_pad"))
+            if (q["sigma_wire"] or q["sigma_pad"])
             else None
         )
         width = (
-            MetalWidthVariation(sigma=float(p["sigma_width"]))
-            if p.get("sigma_width")
+            MetalWidthVariation(sigma=q["sigma_width"])
+            if q["sigma_width"]
             else None
         )
-        tsv = (
-            TSVVariation(sigma=float(p["sigma_tsv"]))
-            if p.get("sigma_tsv")
-            else None
-        )
+        tsv = TSVVariation(sigma=q["sigma_tsv"]) if q["sigma_tsv"] else None
         if wire is None and width is None and tsv is None:
             raise ReproError(
                 "mc job varies nothing: set sigma_wire, sigma_pad, "
@@ -615,17 +687,15 @@ class GridAnalysisService:
         config_kwargs = {
             k: p[k] for k in ("batch_size", "outer_tol", "budget") if k in p
         }
-        if "quantiles" in p:
-            config_kwargs["quantiles"] = tuple(
-                float(q) for q in p["quantiles"]
-            )
+        if "quantiles" in q:
+            config_kwargs["quantiles"] = q["quantiles"]
         from repro.stochastic import run_monte_carlo
 
         try:
             result = run_monte_carlo(
                 stack,
                 spec,
-                int(p.get("samples", 16)),
+                q["samples"],
                 seed=int(p.get("seed", 0)),
                 config=MonteCarloConfig(**config_kwargs),
                 cache=self.cache,
@@ -666,6 +736,7 @@ class GridAnalysisService:
         )
 
         p = job.params
+        q = _sensitivity_params(p, stack)
         blocks = []
         for family in p.get("params", ["width"]):
             if family == "width":
@@ -682,10 +753,10 @@ class GridAnalysisService:
                     "tsv, load"
                 )
         space = ParameterSpace(stack, blocks)
-        if "node" in p:
-            metric = NodeDrop(*(int(v) for v in p["node"]))
-        elif "beta" in p:
-            metric = SmoothWorstDrop(beta=float(p["beta"]))
+        if "node" in q:
+            metric = NodeDrop(*q["node"])
+        elif "beta" in q:
+            metric = SmoothWorstDrop(beta=q["beta"])
         else:
             metric = SmoothWorstDrop()
         try:
@@ -702,7 +773,7 @@ class GridAnalysisService:
             "new_factorizations": result.new_factorizations,
             "top": [
                 {"parameter": name, "gradient": g}
-                for name, g in result.top(int(p.get("top", 10)))
+                for name, g in result.top(q["top"])
             ],
         }
 
@@ -769,10 +840,11 @@ class GridAnalysisService:
         from repro.scenarios import pad_current_sweep
 
         p = job.params
+        q = _eco_params(p)
         candidates = generate_candidates(
             stack,
             p.get("sweep", "strap"),
-            int(p.get("candidates", 8)),
+            q["candidates"],
             seed=int(p.get("seed", 0)),
         )
         scenarios = (
@@ -786,7 +858,7 @@ class GridAnalysisService:
             stack, scenarios=scenarios, cache=self.cache
         ) as session:
             report = session.rank_candidates(candidates)
-        ranked = report.ranked()[: int(p.get("top", 10))]
+        ranked = report.ranked()[: q["top"]]
         return {
             "kind": "eco",
             "grid": job.grid,

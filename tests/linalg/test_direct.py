@@ -246,6 +246,103 @@ class TestLaneRunner:
         assert not direct.in_lane()
 
 
+def eliminated_system(stack):
+    """A factorized plane (group 0) of ``stack``, its free-node matrix
+    in the system's order, and the solver."""
+    system = ReducedPlaneSystem(stack, factorize=True)
+    free = system.free
+    matrix = sp.csc_matrix(system.planes[0][0][free][:, free])
+    return system, matrix, system.a_ff[0]
+
+
+@pytest.fixture(scope="module")
+def c0_eliminated():
+    return eliminated_system(build_circuit("C0", seed=1))
+
+
+class TestEliminatedFactor:
+    """``m > 0``: the diagonal block of between-pillar nodes is
+    eliminated before LU and only the Schur complement is factored."""
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("columns", [None, 5])
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            "C0",
+            synthesize_stack(
+                15, 13, 3, rng=7, jitter_sigma=0.2, replicate_tier=False,
+                pin_fraction=0.5,
+            ),
+        ],
+        ids=["C0", "random"],
+    )
+    def test_matches_plain_splu(self, c0_eliminated, stack, columns, trans):
+        system, matrix, solver = (
+            c0_eliminated if stack == "C0" else eliminated_system(stack)
+        )
+        assert 0 < solver.eliminated == system.eliminated < matrix.shape[0]
+        rng = np.random.default_rng(3)
+        shape = matrix.shape[:1] if columns is None else (matrix.shape[0], columns)
+        rhs = rng.standard_normal(shape)
+        x = solver.solve(rhs, trans=trans)
+        reference = spla.splu(matrix).solve(rhs, trans=trans)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_split_is_bitwise_one_call(
+        self, c0_eliminated, wide_rhs, trans, three_lanes
+    ):
+        solver = c0_eliminated[2]
+        for k in (wide_rhs.shape[1], wide_rhs.shape[1] - 2):
+            assert k % 2 == 1
+            rhs = wide_rhs[:, :k]
+            x = solver.solve(rhs, trans=trans)
+            assert x.flags.f_contiguous
+            assert np.array_equal(x, solver._solve_block(rhs, trans))
+            for j in (0, k // 2, k - 1):  # and bitwise one column alone
+                assert np.array_equal(x[:, j], solver.solve(rhs[:, j], trans=trans))
+
+    def test_c_ordered_input(self, c0_eliminated, wide_rhs):
+        solver = c0_eliminated[2]
+        rhs = np.ascontiguousarray(wide_rhs)
+        assert np.array_equal(solver.solve(rhs), solver.solve(wide_rhs))
+
+    def test_counts_every_array_it_keeps(self, c0_eliminated):
+        """A symmetric plane keeps one coupling block for both sides."""
+        system, matrix, solver = c0_eliminated
+        m = solver.eliminated
+        coupling = matrix[:m, m:].nnz
+        assert solver.factor_nnz == solver._lu.nnz + coupling + m
+        assert solver.memory_bytes > solver._lu.nnz * 12 + coupling * 12 + m * 8
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_unsymmetric_matrix_keeps_both_blocks(self, c0_eliminated, trans):
+        _system, matrix, symmetric = c0_eliminated
+        m = symmetric.eliminated
+        lower = sp.csc_matrix(matrix[m:, :m] * 0.5)
+        matrix = sp.bmat(
+            [[matrix[:m, :m], matrix[:m, m:]], [lower, matrix[m:, m:]]],
+            format="csc",
+        )
+        solver = DirectSolver(matrix, m=m)
+        assert solver.factor_nnz == symmetric.factor_nnz - symmetric._lu.nnz + (
+            solver._lu.nnz + lower.nnz
+        )
+        rhs = np.random.default_rng(5).standard_normal((matrix.shape[0], 3))
+        x = solver.solve(rhs, trans=trans)
+        reference = spla.splu(matrix).solve(rhs, trans=trans)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_refuses_a_non_diagonal_leading_block(self, c0_plane):
+        matrix = c0_plane[0]
+        with pytest.raises(SingularSystemError, match="not an invertible diagonal"):
+            DirectSolver(matrix, m=100)
+        with pytest.raises(ValueError, match="m must lie"):
+            DirectSolver(matrix, m=matrix.shape[0] + 1)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_solves_on_a_fresh_pool(c0_plane, wide_rhs):
     solver = DirectSolver(c0_plane[0])

@@ -82,6 +82,14 @@ class TestFactorQuality:
             assert span.attrs["factor_bytes"] == solver.memory_bytes
             assert span.attrs["n_free"] == system.n_free
 
+    def test_factorize_span_carries_the_eliminated_count(self):
+        stack = synthesize_stack(10, 10, 2, rng=0)
+        with obs.session(trace=True) as tel:
+            system = ReducedPlaneSystem(stack, factorize=True)
+        (span,) = [e for e in tel.tracer.events if e.name == "factorize"]
+        assert span.attrs["eliminated"] == system.eliminated > 0
+        assert system.a_ff[0].eliminated == system.eliminated
+
     def test_fill_gauge_keeps_the_largest_factor(self):
         big = ReducedPlaneSystem(synthesize_stack(16, 16, 1, rng=0))
         with obs.session() as tel:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.planes import PlaneFactorCache, ReducedPlaneSystem
 from repro.core.vp import VPConfig, VoltagePropagationSolver
-from repro.errors import GridError, ReproError
+from repro.errors import ConvergenceError, GridError, ReproError
 from repro.grid.generators import synthesize_stack
 from repro.scenarios.spec import Scenario
 from repro.sensitivity import (
@@ -192,6 +192,49 @@ class TestAdjointVsFiniteDifferences:
             params, SmoothWorstDrop(), solver="direct", step=1e-3
         )
         assert np.allclose(fd_vp, fd_direct, rtol=1e-6, atol=1e-12)
+
+
+class TestUnconvergedAdjoint:
+    """A quarter-pinned stack whose adjoint needs ~450-550 outer
+    iterations, more than the default ``max_outer=400``."""
+
+    @staticmethod
+    def space() -> ParameterSpace:
+        stack = synthesize_stack(
+            6, 6, 3, r_tsv=0.25, pin_fraction=0.25, rng=0
+        )
+        return ParameterSpace(
+            stack,
+            [MetalWidthParam(), TSVConductanceParam(), LoadCurrentParam(0)],
+        )
+
+    def test_default_config_raises(self):
+        with pytest.raises(ConvergenceError) as info:
+            adjoint_gradient(self.space(), SmoothWorstDrop(beta=2000.0))
+        err = info.value
+        assert err.iterations == 400
+        assert err.residual > SensitivityConfig().adjoint_tol
+        message = str(err)
+        assert "400 outer iterations" in message
+        assert f"residual {err.residual:.3g}" in message
+        assert "max_outer=400" in message
+
+    def test_enough_iterations_match_fd(self):
+        params = self.space()
+        metric = SmoothWorstDrop(beta=2000.0)
+        result = adjoint_gradient(
+            params,
+            metric,
+            config=SensitivityConfig(
+                forward_tol=1e-10, adjoint_tol=1e-11, max_outer=2000
+            ),
+        )
+        assert result.adjoint_outer_iterations > 400
+        fd = finite_difference_gradient(
+            params, metric, solver="direct", step=1e-4
+        )
+        report = compare_gradients(result.gradient, fd, atol=1e-10)
+        assert report["max_rel_error"] < RTOL, report
 
 
 class TestFactorReuse:

@@ -94,3 +94,62 @@ def test_bad_sweep_field_is_refused(served, field, params):
     assert field in body["error"]
     with pytest.raises(ReproError, match=field):
         service.submit("sweep", "ok", params)
+
+
+@pytest.mark.parametrize(
+    "kind, field, params",
+    [
+        ("mc", "sigma_wire", {"sigma_wire": -0.1}),
+        ("mc", "sigma_pad", {"sigma_wire": 0.1, "sigma_pad": math.nan}),
+        ("mc", "sigma_width", {"sigma_width": math.inf}),
+        ("mc", "sigma_tsv", {"sigma_tsv": -1e-3}),
+        ("mc", "sigma_tsv", {"sigma_tsv": "wide"}),
+        ("mc", "corr_length", {"sigma_wire": 0.1, "corr_length": -2.0}),
+        ("mc", "quantiles", {"sigma_tsv": 0.1, "quantiles": [0.5, 1.0]}),
+        ("mc", "quantiles", {"sigma_tsv": 0.1, "quantiles": [0.0]}),
+        ("mc", "quantiles", {"sigma_tsv": 0.1, "quantiles": [math.nan]}),
+        ("mc", "quantiles", {"sigma_tsv": 0.1, "quantiles": 0.9}),
+        ("sensitivity", "beta", {"beta": 0.0}),
+        ("sensitivity", "beta", {"beta": -5.0}),
+        ("sensitivity", "beta", {"beta": math.inf}),
+        ("sensitivity", "top", {"top": 0}),
+        ("sensitivity", "node", {"node": [0, 0, 10]}),
+        ("sensitivity", "node", {"node": [2, 0, 0]}),
+        ("sensitivity", "node", {"node": [0, -1, 0]}),
+        ("sensitivity", "node", {"node": [0, 0]}),
+        ("eco", "candidates", {"candidates": 0}),
+        ("eco", "candidates", {"candidates": -3}),
+        ("eco", "top", {"top": 0}),
+    ],
+)
+def test_bad_job_field_is_refused(served, kind, field, params):
+    """``mc``, ``sensitivity`` and ``eco`` knobs are range-checked at
+    submit (SMALL is a 2-tier 10 x 10 grid)."""
+    service, client = served
+    client.call("POST", "/grids", {"name": "ok", "spec": SMALL})
+    submitted = len(service.queue.jobs())
+    status, body = client.call(
+        "POST", "/jobs", {"kind": kind, "grid": "ok", "params": params}
+    )
+    assert status == 400
+    assert field in body["error"]
+    with pytest.raises(ReproError, match=field):
+        service.submit(kind, "ok", params)
+    assert len(service.queue.jobs()) == submitted
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("mc", {"sigma_tsv": 0.1, "samples": 2, "quantiles": [0.5, 0.99]}),
+        ("mc", {"sigma_wire": 0.05, "corr_length": 0.0, "samples": 1}),
+        ("sensitivity", {"node": [1, 9, 9], "top": 1}),
+        ("sensitivity", {"beta": 500.0}),
+        ("eco", {"candidates": 1, "top": 1}),
+    ],
+)
+def test_good_job_fields_run(served, kind, params):
+    service, _client = served
+    service.register_grid("ok", SMALL)
+    job = service.submit(kind, "ok", params)
+    assert service.wait(job.id, timeout=120).state == "done"
